@@ -12,6 +12,8 @@ The package is organised around an immutable bitmask ``Graph``:
 ``cli``          the ``critcolor`` command-line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .chroma import (
     BudgetExhausted,
     Coloring,
@@ -118,4 +120,7 @@ from .patterns import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+]

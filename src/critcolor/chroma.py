@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, complement
+from .graphs import Graph, complement, iter_bits
 
 
 class BudgetExhausted(RuntimeError):
@@ -188,13 +188,8 @@ def _dsatur_coloring(g: Graph) -> Coloring:
             c += 1
         colour_of[v] = c
         used = max(used, c)
-        m = rows[v]
-        u = 0
-        while m:
-            if m & 1:
-                neighbour_colours[u].add(c)
-            m >>= 1
-            u += 1
+        for u in iter_bits(rows[v]):
+            neighbour_colours[u].add(c)
     return Coloring(used, tuple(colour_of))
 
 

@@ -262,12 +262,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             }[args.command]
 
         if args.graph == "-":
-            texts = [ln.strip() for ln in sys.stdin.read().splitlines() if ln.strip()]
+            lines = sys.stdin.read().splitlines()
+            graphs = list(enumeration.ingest_graph6_stream(lines))
+            texts = [ln.strip() for ln in lines if ln.strip()]
         else:
-            texts = [args.graph]
+            graphs, texts = [parse_graph6(args.graph)], [args.graph]
         codes, payloads, humans = [], [], []
-        for text in texts:
-            g = parse_graph6(text)
+        for g in graphs:
             code, payload, human = handler(args, g, *extra)
             codes.append(code)
             payloads.append(payload)

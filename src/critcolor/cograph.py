@@ -21,6 +21,7 @@ from .graphs import (
     is_anticomplete_between,
     is_complete_between,
     is_connected,
+    iter_bits,
     set_neighborhood_mask,
 )
 
@@ -90,13 +91,8 @@ def realize_cotree(t: Cotree) -> Graph:
                 total |= m
             for m in masks:
                 others = total & ~m
-                rest = m
-                v = 0
-                while rest:
-                    if rest & 1:
-                        rows[v] |= others
-                    rest >>= 1
-                    v += 1
+                for v in iter_bits(m):
+                    rows[v] |= others
         acc = 0
         for m in masks:
             acc |= m

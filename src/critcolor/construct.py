@@ -21,7 +21,7 @@ from typing import Optional
 
 from .chroma import Coloring, is_proper_coloring
 from .cograph import cograph_color, recognize
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, iter_bits, mask_of
 from .patterns import PatternViolation, clique, is_free, path, plus_isolated
 
 
@@ -58,21 +58,11 @@ def closed_neighborhood_partition(g: Graph, s: list[int]) -> list[list[int]]:
     """Split N[S] \\ S into blocks: block i holds the vertices adjacent to
     s[i] but to no earlier member of S.  Together with S the blocks tile
     N[S]; the blocks are pairwise disjoint by construction."""
-    claimed = 0
-    for v in s:
-        claimed |= 1 << v
+    claimed = mask_of(s)
     blocks: list[list[int]] = []
     for v in s:
-        m = g.rows[v] & ~claimed
-        block = []
-        u = 0
-        while m:
-            if m & 1:
-                block.append(u)
-                claimed |= 1 << u
-            m >>= 1
-            u += 1
-        blocks.append(block)
+        blocks.append(list(iter_bits(g.rows[v] & ~claimed)))
+        claimed |= g.rows[v]
     return blocks
 
 

@@ -271,7 +271,8 @@ def certify_k_colorable(
     Either some database member embeds (that subgraph alone already needs
     k+1 colours) or, with a complete database for the
     family, none does and a k-colouring must exist.  Both certificates are
-    re-verified before being returned.  If the database is incomplete and
+    re-verified before being returned: a member that embeds is used only if
+    it really is not k-colourable.  If the database is incomplete and
     neither branch fires, a fresh (k+1)-critical subgraph is extracted and
     returned as the witness.
     """
@@ -283,7 +284,7 @@ def certify_k_colorable(
     for i, text in enumerate(db.members):
         member = parse_graph6(text)
         emb = find_induced_subgraph(g, member)
-        if emb is not None:
+        if emb is not None and chroma.is_k_colorable(member, k) is None:
             return CriticalWitness(i, text, emb)
     col = chroma.is_k_colorable(g, k)
     if col is not None:

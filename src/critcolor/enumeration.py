@@ -8,21 +8,26 @@ along the way (two branches producing the same bit-string) prune sibling
 branches, which keeps highly symmetric graphs like cycles and edgeless
 graphs from exploding into factorial search.
 
-Enumeration walks orders 1, 2, ... n: every n-vertex graph arises from some
-(n-1)-vertex graph by adding one vertex, so each level is generated by
-attaching a new vertex to each survivor in all 2^(n-1) ways and deduplicating
-by canonical form.  Forbidden-pattern filters are hereditary, so filtered-out
-parents can be dropped for good.
+Enumeration is one walk up the orders 1, 2, ... n, starting from the empty
+graph: every n-vertex graph arises from some (n-1)-vertex graph by adding one
+vertex, so each level is generated by attaching a new vertex to each parent
+in all 2^(n-1) ways.  Forbidden-pattern filters are hereditary, so a child
+that contains a pattern is dropped for good.  A classifier then sorts every
+surviving child: extended (it becomes a parent of the next level), emitted
+(it goes forward as a candidate answer) or dropped.  Extended and emitted
+children are deduplicated by canonical form per level.  Plain enumeration
+extends everything; critical enumeration extends the (k-1)-colourable
+children and emits the ones that pass the cheap criticality screens.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import chroma
 from .critical import CriticalDb, criticality_report, find_comparable_nonadjacent
-from .graphs import Graph, Graph6Error, is_connected, parse_graph6, to_graph6
+from .graphs import Graph, Graph6Error, is_connected, iter_bits, parse_graph6, to_graph6
 from .patterns import PatternSpec, find_induced_subgraph, realize
 
 MAX_CANONICAL_N = 16
@@ -146,11 +151,8 @@ def canonical_form(g: Graph) -> str:
         pos[v] = i
     rows = [0] * g.n
     for i, v in enumerate(label):
-        m = g.rows[v]
-        while m:
-            low = m & -m
-            rows[i] |= 1 << pos[low.bit_length() - 1]
-            m ^= low
+        for u in iter_bits(g.rows[v]):
+            rows[i] |= 1 << pos[u]
     return to_graph6(Graph(g.n, tuple(rows)))
 
 
@@ -168,26 +170,39 @@ def _passes(g: Graph, filter_graphs: list[Graph]) -> bool:
     return all(find_induced_subgraph(g, f) is None for f in filter_graphs)
 
 
-def _levels(
-    n_max: int, filters: Iterable[PatternSpec]
-) -> Iterator[tuple[int, list[Graph]]]:
-    """Survivor lists level by level: one canonical representative per
-    isomorphism class of filter-free graphs on exactly n vertices."""
-    filter_graphs = [realize(f) for f in filters]
-    seed = Graph(1, (0,))
-    level = [parse_graph6(canonical_form(seed))] if _passes(seed, filter_graphs) else []
-    yield 1, level
-    for n in range(2, n_max + 1):
-        seen: dict[str, Graph] = {}
-        for parent in level:
+_EXTEND, _EMIT = "extend", "emit"
+
+
+def _walk(
+    n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph, int], Optional[str]]
+) -> Iterator[tuple[int, list[Graph], list[str]]]:
+    """The level walk.  Each family-free child on n vertices is classified
+    by ``classify(child, n)`` as _EXTEND, _EMIT or None (dropped).  Yields,
+    per order n, one canonical representative per class of extended
+    children, which are also the next level's parents, and the sorted
+    canonical forms of the emitted children."""
+    filter_graphs = [realize(f) for f in family]
+    parents = [Graph(0, ())]
+    for n in range(1, n_max + 1):
+        extended: dict[str, Graph] = {}
+        emitted: set[str] = set()
+        for parent in parents:
             for child in _extensions(parent):
                 if not _passes(child, filter_graphs):
                     continue
-                canon = canonical_form(child)
-                if canon not in seen:
-                    seen[canon] = parse_graph6(canon)
-        level = [seen[c] for c in sorted(seen)]
-        yield n, level
+                kind = classify(child, n)
+                if kind == _EXTEND:
+                    canon = canonical_form(child)
+                    if canon not in extended:
+                        extended[canon] = parse_graph6(canon)
+                elif kind == _EMIT:
+                    emitted.add(canonical_form(child))
+        parents = [extended[c] for c in sorted(extended)]
+        yield n, parents, sorted(emitted)
+
+
+def _extend_all(child: Graph, n: int) -> str:
+    return _EXTEND
 
 
 def enumerate_graphs(
@@ -197,7 +212,7 @@ def enumerate_graphs(
     every filter pattern, in canonical-form order."""
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
-    for m, level in _levels(n, tuple(filters)):
+    for m, level, _ in _walk(n, tuple(filters), _extend_all):
         if m == n:
             for g in level:
                 if not connected_only or is_connected(g):
@@ -211,7 +226,7 @@ def enumerate_up_to(
     recomputing the lower levels once per order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to n_max <= {MAX_ENUMERATION_N}, got {n_max}")
-    for _, level in _levels(n_max, tuple(filters)):
+    for _, level, _ in _walk(n_max, tuple(filters), _extend_all):
         for g in level:
             if not connected_only or is_connected(g):
                 yield g
@@ -228,46 +243,34 @@ def enumerate_critical(
     outside it would not lower the chromatic number below k).  Each child
     that jumps to chromatic number k is screened with the cheap necessary
     conditions (connected, minimum degree at least k-1, no nonadjacent pair
-    with nested neighbourhoods) before the full per-vertex check runs.
+    with nested neighbourhoods); the full per-vertex check then runs once per
+    isomorphism class of the children that pass.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to n_max <= {MAX_ENUMERATION_N}, got {n_max}")
     family = tuple(family)
-    filter_graphs = [realize(f) for f in family]
-    members: list[str] = []
-    parents = [Graph(1, (0,))] if _passes(Graph(1, (0,)), filter_graphs) else []
-    for n in range(1, n_max + 1):
-        children = [Graph(1, (0,))] if n == 1 else (
-            child for parent in parents for child in _extensions(parent)
-        )
-        next_parents: dict[str, Graph] = {}
-        level_members: set[str] = set()
-        for child in children:
-            if n > 1 and not _passes(child, filter_graphs):
-                continue
-            if chroma.is_k_colorable(child, k - 1) is not None:
-                if n < n_max:
-                    canon = canonical_form(child)
-                    if canon not in next_parents:
-                        next_parents[canon] = parse_graph6(canon)
-                continue
-            # chi is exactly k here: the parent was (k-1)-colourable, so one
-            # added vertex cannot push the chromatic number past k
-            if not is_connected(child):
-                continue
-            if min(child.degree(v) for v in range(child.n)) < k - 1:
-                continue
-            if find_comparable_nonadjacent(child) is not None:
-                continue
-            canon = canonical_form(child)
-            if canon in level_members:
-                continue
-            if criticality_report(child, k).verdict:
-                level_members.add(canon)
-        members.extend(sorted(level_members))
-        parents = [next_parents[c] for c in sorted(next_parents)]
+
+    def classify(child: Graph, n: int) -> Optional[str]:
+        if chroma.is_k_colorable(child, k - 1) is not None:
+            return _EXTEND if n < n_max else None
+        # chi is exactly k here: the parent was (k-1)-colourable, so one
+        # added vertex cannot push the chromatic number past k
+        if (
+            not is_connected(child)
+            or min(child.degree(v) for v in range(child.n)) < k - 1
+            or find_comparable_nonadjacent(child) is not None
+        ):
+            return None
+        return _EMIT
+
+    members = [
+        canon
+        for _, _, emitted in _walk(n_max, family, classify)
+        for canon in emitted
+        if criticality_report(parse_graph6(canon), k).verdict
+    ]
     return CriticalDb(k, family, tuple(members))
 
 

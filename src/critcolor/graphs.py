@@ -42,13 +42,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            higher = self.rows[v] >> (v + 1)
-            u = v + 1
-            while higher:
-                if higher & 1:
-                    yield (v, u)
-                higher >>= 1
-                u += 1
+            for u in iter_bits(self.rows[v] >> (v + 1) << (v + 1)):
+                yield (v, u)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -136,7 +131,10 @@ def _parse_n(data: bytes, cap: int) -> tuple[int, int]:
 
 def parse_graph6(text: str | bytes, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     """Decode one graph6 string.  Errors carry the offending byte offset."""
-    data = text.encode("ascii", "replace") if isinstance(text, str) else text
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else text
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     data = data.rstrip(b"\n")
     n, start = _parse_n(data, cap)
     if n > cap:
@@ -206,15 +204,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits_of(mask: int) -> frozenset[int]:
-    out = []
-    v = 0
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of a nonnegative mask, lowest first."""
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bits_of(mask: int) -> frozenset[int]:
+    return frozenset(iter_bits(mask))
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> int:
@@ -235,13 +234,8 @@ def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
 
 def set_neighborhood_mask(g: Graph, smask: int) -> int:
     acc = 0
-    m = smask
-    v = 0
-    while m:
-        if m & 1:
-            acc |= g.rows[v]
-        m >>= 1
-        v += 1
+    for v in iter_bits(smask):
+        acc |= g.rows[v]
     return acc & ~smask
 
 
@@ -258,14 +252,7 @@ def closed_set_neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     m = _check_vertices(g, s)
-    rest = m
-    v = 0
-    while rest:
-        if rest & 1 and g.rows[v] & m:
-            return False
-        rest >>= 1
-        v += 1
-    return True
+    return not any(g.rows[v] & m for v in iter_bits(m))
 
 
 def _pairwise_masks(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int]:
@@ -279,27 +266,13 @@ def _pairwise_masks(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> tuple[int
 def is_complete_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
     """True iff every vertex of xs is adjacent to every vertex of ys."""
     xm, ym = _pairwise_masks(g, xs, ys)
-    rest = xm
-    v = 0
-    while rest:
-        if rest & 1 and (g.rows[v] & ym) != ym:
-            return False
-        rest >>= 1
-        v += 1
-    return True
+    return all((g.rows[v] & ym) == ym for v in iter_bits(xm))
 
 
 def is_anticomplete_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
     """True iff there is no edge between xs and ys."""
     xm, ym = _pairwise_masks(g, xs, ys)
-    rest = xm
-    v = 0
-    while rest:
-        if rest & 1 and g.rows[v] & ym:
-            return False
-        rest >>= 1
-        v += 1
-    return True
+    return not any(g.rows[v] & ym for v in iter_bits(xm))
 
 
 def mixed_vertices(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -326,13 +299,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     pos = {v: i for i, v in enumerate(keep)}
     rows = [0] * len(keep)
     for v in keep:
-        hit = g.rows[v] & m
-        u = 0
-        while hit:
-            if hit & 1:
-                rows[pos[v]] |= 1 << pos[u]
-            hit >>= 1
-            u += 1
+        for u in iter_bits(g.rows[v] & m):
+            rows[pos[v]] |= 1 << pos[u]
     return Graph(len(keep), tuple(rows))
 
 
@@ -353,45 +321,26 @@ def disjoint_union(a: Graph, b: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _component(g: Graph, v: int) -> int:
+    """Mask of the vertices reachable from v, by breadth-first search."""
+    comp = frontier = 1 << v
+    while frontier:
+        frontier = set_neighborhood_mask(g, frontier) & ~comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Components as vertex sets, ordered by least member."""
     seen = 0
     comps = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            m = frontier
-            u = 0
-            while m:
-                if m & 1:
-                    nxt |= g.rows[u]
-                m >>= 1
-                u += 1
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(bits_of(comp))
+        if not seen >> v & 1:
+            comp = _component(g, v)
+            seen |= comp
+            comps.append(bits_of(comp))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        u = 0
-        while m:
-            if m & 1:
-                nxt |= g.rows[u]
-            m >>= 1
-            u += 1
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == (1 << g.n) - 1
+    return g.n <= 1 or _component(g, 0) == (1 << g.n) - 1

@@ -102,6 +102,13 @@ def test_stdin_batch_json(capsys, monkeypatch):
     assert doc["result"][1]["cotree"] == "J(0,1,2)"
 
 
+def test_stdin_malformed_line_names_the_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\nDhc\nD~x\n"))
+    assert run(["chi", "-"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3:" in err and "byte offset 2" in err
+
+
 def test_budget_flag(capsys):
     assert run(["chi", "--budget", "1", C5]) == 2
     assert "budget exhausted" in capsys.readouterr().err

@@ -236,6 +236,15 @@ def test_certify_falls_back_to_extraction_on_incomplete_db():
     assert embedding_is_induced(C5, sub, out.embedding)
 
 
+def test_certify_skips_colourable_database_members():
+    # P3 mislabelled as 4-critical embeds in C5 but is no witness against
+    # 3-colourability
+    bogus = CriticalDb(4, (), (to_graph6(from_edges(3, [(0, 1), (1, 2)])),))
+    out = certify_k_colorable(C5, 3, bogus)
+    assert isinstance(out, Coloring)
+    assert is_proper_coloring(C5, out)
+
+
 def test_certify_worked_examples():
     db = make_db()
     paw = from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])

@@ -198,6 +198,18 @@ def test_verify_critdb_accepts_freshly_enumerated_db():
     assert verify_critdb(db)
 
 
+@pytest.mark.parametrize("family", [[], ["P1"], ["K2"]])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_enumerate_critical_output_verifies(k, family):
+    # the family filter applies at every order, the single vertex included
+    db = enumerate_critical(k, 5, [parse_pattern(t) for t in family])
+    assert verify_critdb(db)
+
+
+def test_p1_free_family_has_no_critical_graphs():
+    assert enumerate_critical(1, 3, [parse_pattern("P1")]).members == ()
+
+
 def test_verify_critdb_rejects_tampering():
     db = enumerate_critical(3, 7)
     # non-canonical relabeling of a member

@@ -20,6 +20,7 @@ from critcolor.graphs import (
     is_complete_between,
     is_connected,
     is_independent,
+    iter_bits,
     mask_of,
     mixed_vertices,
     neighborhood,
@@ -80,6 +81,7 @@ def test_graph6_short_form_boundary():
         ("D~{x", 3, "trailing garbage"),
         ("D~}", 2, "nonzero padding"),
         ("~?@c", 4, "need 825 adjacency bytes"),
+        ("A\u00e9", 1, "non-ASCII"),
     ],
 )
 def test_graph6_errors_carry_byte_offsets(text, offset, needle):
@@ -141,6 +143,12 @@ def test_degree_and_edges():
 # ---------------------------------------------------------------------------
 # set-level queries
 # ---------------------------------------------------------------------------
+
+
+def test_iter_bits_is_ascending():
+    assert list(iter_bits(0)) == []
+    assert list(iter_bits(mask_of([7, 0, 3]))) == [0, 3, 7]
+    assert list(iter_bits(1 << 300)) == [300]
 
 
 def test_mask_round_trip():

@@ -41,10 +41,17 @@ def is_proper_coloring(g: Graph, col: Coloring) -> bool:
 
 
 class _Budget:
+    """A node counter.  One counter is shared by every search of a top-level
+    call: the ``budget`` parameters take either a node count or a counter."""
+
     __slots__ = ("left",)
 
     def __init__(self, budget: Optional[int]):
         self.left = budget
+
+    @staticmethod
+    def shared(budget: Optional[int | _Budget]) -> _Budget:
+        return budget if isinstance(budget, _Budget) else _Budget(budget)
 
     def spend(self) -> None:
         if self.left is not None:
@@ -53,11 +60,11 @@ class _Budget:
                 raise BudgetExhausted("budget exhausted")
 
 
-def clique_number(g: Graph, budget: Optional[int] = None) -> int:
+def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
     """Largest clique size, by branch and bound with a greedy colouring bound."""
     if g.n == 0:
         return 0
-    counter = _Budget(budget)
+    counter = _Budget.shared(budget)
     rows = g.rows
     best = 1
 
@@ -95,12 +102,14 @@ def clique_number(g: Graph, budget: Optional[int] = None) -> int:
     return best
 
 
-def independence_number(g: Graph, budget: Optional[int] = None) -> int:
+def independence_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
     """Largest independent set size: the clique number of the complement."""
     return clique_number(complement(g), budget)
 
 
-def is_k_colorable(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring]:
+def is_k_colorable(
+    g: Graph, k: int, budget: Optional[int | _Budget] = None
+) -> Optional[Coloring]:
     """A proper colouring with at most k colours, or None.
 
     Backtracking: branch on the uncoloured vertex with the fewest feasible
@@ -114,7 +123,7 @@ def is_k_colorable(g: Graph, k: int, budget: Optional[int] = None) -> Optional[C
         return Coloring(0, ())
     if k == 0:
         return None
-    counter = _Budget(budget)
+    counter = _Budget.shared(budget)
     rows = g.rows
     n = g.n
     degs = [g.degree(v) for v in range(n)]
@@ -179,10 +188,14 @@ def _dsatur_coloring(g: Graph) -> Coloring:
     degs = [g.degree(v) for v in range(n)]
     used = 0
     for _ in range(n):
-        v = min(
-            (v for v in range(n) if not colour_of[v]),
-            key=lambda v: (-len(neighbour_colours[v]), -degs[v], v),
-        )
+        # most saturated, then highest degree, then lowest index
+        v = best_sat = best_deg = -1
+        for u in range(n):
+            if colour_of[u]:
+                continue
+            sat = len(neighbour_colours[u])
+            if sat > best_sat or sat == best_sat and degs[u] > best_deg:
+                v, best_sat, best_deg = u, sat, degs[u]
         c = 1
         while c in neighbour_colours[v]:
             c += 1
@@ -193,14 +206,18 @@ def _dsatur_coloring(g: Graph) -> Coloring:
     return Coloring(used, tuple(colour_of))
 
 
-def chromatic_number(g: Graph, budget: Optional[int] = None) -> tuple[int, Coloring]:
+def chromatic_number(
+    g: Graph, budget: Optional[int | _Budget] = None
+) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness colouring.
 
     Seeded below by the clique number and above by a saturation greedy run,
-    then closed by the backtracking decision procedure.
+    then closed by the backtracking decision procedure.  The sub-searches
+    share one budget.
     """
     if g.n == 0:
         return 0, Coloring(0, ())
+    budget = _Budget.shared(budget)
     lower = clique_number(g, budget)
     greedy = _dsatur_coloring(g)
     if greedy.palette_size == lower:

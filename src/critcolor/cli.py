@@ -26,14 +26,7 @@ from .cograph import (
     render_cotree,
 )
 from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
-from .patterns import (
-    PatternViolation,
-    embedding_is_induced,
-    format_pattern,
-    is_free,
-    parse_pattern,
-    realize,
-)
+from .patterns import PatternViolation, format_pattern, is_free, parse_pattern
 
 
 class _UsageError(Exception):
@@ -108,8 +101,6 @@ def _cmd_free(args, g: Graph):
     if ok:
         return 0, {"free": True}, "free"
     spec, emb = hit
-    if not embedding_is_induced(g, realize(spec), emb):  # pragma: no cover
-        raise AssertionError("witness failed re-verification")
     name = format_pattern(spec)
     return 1, {"free": False, "pattern": name, "embedding": list(emb.mapping)}, \
         f"contains {name} at {','.join(map(str, emb.mapping))}"
@@ -133,7 +124,7 @@ def _cmd_chi(args, g: Graph):
 def _cmd_critical(args, g: Graph):
     if args.k < 1:
         raise _UsageError("--k must be at least 1")
-    report = critical.criticality_report(g, args.k)
+    report = critical.criticality_report(g, args.k, args.budget)
     payload = {
         "k": report.k,
         "chi": report.chi,
@@ -175,15 +166,10 @@ def _cmd_color(args, g: Graph):
 
 
 def _cmd_certify(args, g: Graph, db: critical.CriticalDb):
-    result = critical.certify_k_colorable(g, args.k, db)
+    result = critical.certify_k_colorable(g, args.k, db, args.budget)
     if isinstance(result, chroma.Coloring):
-        if not chroma.is_proper_coloring(g, result) and g.n:  # pragma: no cover
-            raise AssertionError("witness failed re-verification")
         return 0, {"colorable": True, **_coloring_payload(result)}, \
             f"{args.k}-colourable colouring={_fmt_assignment(result)}"
-    member = parse_graph6(result.pattern_graph6)
-    if not embedding_is_induced(g, member, result.embedding):  # pragma: no cover
-        raise AssertionError("witness failed re-verification")
     where = ",".join(map(str, result.embedding.mapping))
     payload = {
         "colorable": False,

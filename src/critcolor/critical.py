@@ -56,17 +56,24 @@ class CritReport:
     verdict: bool
 
 
-def criticality_report(g: Graph, k: int) -> CritReport:
+def criticality_report(g: Graph, k: int, budget: Optional[int] = None) -> CritReport:
+    """The report of g against k.  ``budget`` caps the search nodes of all
+    n + 1 chromatic-number searches together."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    chi, _ = chroma.chromatic_number(g)
-    per_vertex = tuple(chroma.chromatic_number(delete_vertex(g, v))[0] for v in range(g.n))
+    counter = chroma._Budget(budget)
+    chi, _ = chroma.chromatic_number(g, counter)
+    per_vertex = tuple(
+        chroma.chromatic_number(delete_vertex(g, v), counter)[0] for v in range(g.n)
+    )
     verdict = chi == k and all(c == k - 1 for c in per_vertex)
     return CritReport(k, chi, per_vertex, verdict)
 
 
-def _extract_with_kept(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
-    chi, _ = chroma.chromatic_number(g)
+def _extract_with_kept(
+    g: Graph, k: int, budget: Optional[chroma._Budget] = None
+) -> tuple[Graph, tuple[int, ...]]:
+    chi, _ = chroma.chromatic_number(g, budget)
     if chi < k:
         raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
     kept = list(range(g.n))
@@ -74,7 +81,7 @@ def _extract_with_kept(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
     while True:
         for i in range(current.n):
             smaller = delete_vertex(current, i)
-            if chroma.chromatic_number(smaller)[0] >= k:
+            if chroma.chromatic_number(smaller, budget)[0] >= k:
                 del kept[i]
                 current = smaller
                 break
@@ -264,7 +271,7 @@ class CriticalWitness:
 
 
 def certify_k_colorable(
-    g: Graph, k: int, db: CriticalDb
+    g: Graph, k: int, db: CriticalDb, budget: Optional[int] = None
 ) -> TUnion[Coloring, CriticalWitness]:
     """Decide k-colourability against a database of (k+1)-critical graphs.
 
@@ -274,22 +281,24 @@ def certify_k_colorable(
     re-verified before being returned: a member that embeds is used only if
     it really is not k-colourable.  If the database is incomplete and
     neither branch fires, a fresh (k+1)-critical subgraph is extracted and
-    returned as the witness.
+    returned as the witness.  ``budget`` caps the colouring search nodes of
+    the whole call.
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
     ok, hit = is_free(g, db.family)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
+    counter = chroma._Budget(budget)
     for i, text in enumerate(db.members):
         member = parse_graph6(text)
         emb = find_induced_subgraph(g, member)
-        if emb is not None and chroma.is_k_colorable(member, k) is None:
+        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
             return CriticalWitness(i, text, emb)
-    col = chroma.is_k_colorable(g, k)
+    col = chroma.is_k_colorable(g, k, counter)
     if col is not None:
         if not chroma.is_proper_coloring(g, col):  # pragma: no cover
             raise AssertionError("improper colouring from the search")
         return col
-    sub, kept = _extract_with_kept(g, k + 1)
+    sub, kept = _extract_with_kept(g, k + 1, counter)
     return CriticalWitness(None, to_graph6(sub), Embedding(kept))

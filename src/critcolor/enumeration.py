@@ -3,21 +3,35 @@
 Canonical forms come from the usual partition-refinement scheme: vertices
 are partitioned by degree, the partition is refined to equitability, and a
 backtracking search over the permutations still compatible with it picks the
-relabelling whose adjacency bit-string is smallest.  Automorphisms discovered
-along the way (two branches producing the same bit-string) prune sibling
-branches, which keeps highly symmetric graphs like cycles and edgeless
-graphs from exploding into factorial search.
+relabelling whose adjacency bit-string is smallest; that bit-string, in
+graph6 pair order, is the canonical form's graph6 body.  Automorphisms
+discovered along the way (two branches producing the same bit-string) prune
+sibling branches, which keeps highly symmetric graphs like cycles and
+edgeless graphs from exploding into factorial search.  Refinement skips
+splitters known to split nothing: such a splitter splits no refinement of
+the partition either, so the set of them is handed down the search tree.
+
+The refinement scans cells in order and restarts after the first splitter
+that splits anything.  That order is frozen: a splitter queue or any other
+order would pick different canonical labellings, and saved critdb files are
+verified by comparing their members with ``canonical_form``.
 
 Enumeration is one walk up the orders 1, 2, ... n, starting from the empty
 graph: every n-vertex graph arises from some (n-1)-vertex graph by adding one
 vertex, so each level is generated by attaching a new vertex to each parent
-in all 2^(n-1) ways.  Forbidden-pattern filters are hereditary, so a child
-that contains a pattern is dropped for good.  A classifier then sorts every
-surviving child: extended (it becomes a parent of the next level), emitted
-(it goes forward as a candidate answer) or dropped.  Extended and emitted
-children are deduplicated by canonical form per level.  Plain enumeration
-extends everything; critical enumeration extends the (k-1)-colourable
-children and emits the ones that pass the cheap criticality screens.
+in every way, one neighbourhood per orbit of the parent's automorphism group
+(isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
+1998: children from one orbit are isomorphic).  The group is the one the
+parent's canonical labelling found generators for, so the pruning stays
+exact even where those generate only a subgroup.  Forbidden-pattern filters
+are hereditary, so a child that contains a pattern is dropped for good.  A
+classifier then sorts every surviving child: extended (it becomes a parent
+of the next level), emitted (it goes forward as a candidate answer) or
+dropped.  Extended and emitted children are deduplicated by canonical form
+per level.  The filter and every classifier test are isomorphism-invariant,
+so the orbit pruning changes no output.  Plain enumeration extends
+everything; critical enumeration extends the (k-1)-colourable children and
+emits the ones that pass the cheap criticality screens.
 """
 
 from __future__ import annotations
@@ -27,40 +41,51 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import chroma
 from .critical import CriticalDb, criticality_report, find_comparable_nonadjacent
-from .graphs import Graph, Graph6Error, is_connected, iter_bits, parse_graph6, to_graph6
+from .graphs import Graph, Graph6Error, _encode_graph6, is_connected, iter_bits, parse_graph6
 from .patterns import PatternSpec, find_induced_subgraph, realize
 
 MAX_CANONICAL_N = 16
 MAX_ENUMERATION_N = 10
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> list[list[int]]:
     """Equitable refinement.  Cells split by neighbour counts into splitter
     cells; fragments are ordered by count, so the ordering of the refined
-    partition depends only on the structure, never on vertex labels."""
+    partition depends only on the structure, never on vertex labels.
+
+    ``stable`` holds splitter masks known to split no cell; it is updated in
+    place.  A splitter that splits nothing splits no refinement either, so
+    callers pass the set on to refinements of the partition."""
     while True:
         for splitter in cells:
             smask = 0
             for v in splitter:
                 smask |= 1 << v
+            if smask in stable:
+                continue
             new_cells: list[list[int]] = []
             split = False
             for cell in cells:
                 if len(cell) == 1:
                     new_cells.append(cell)
                     continue
+                count = (rows[cell[0]] & smask).bit_count()
+                for v in cell:
+                    if (rows[v] & smask).bit_count() != count:
+                        break
+                else:
+                    new_cells.append(cell)
+                    continue
+                split = True
                 groups: dict[int, list[int]] = {}
                 for v in cell:
                     groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    split = True
-                    for count in sorted(groups):
-                        new_cells.append(groups[count])
+                for count in sorted(groups):
+                    new_cells.append(groups[count])
             if split:
                 cells = new_cells
                 break
+            stable.add(smask)
         else:
             return cells
 
@@ -75,15 +100,17 @@ def _adjacency_bits(rows: tuple[int, ...], label: list[int]) -> int:
     return bits
 
 
-def _canonical_labeling(g: Graph) -> list[int]:
-    """The vertex order minimizing the adjacency bit-string among all orders
-    compatible with the refined degree partition."""
+def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
+    """The least adjacency bit-string over all vertex orders compatible with
+    the refined degree partition, and the automorphisms found on the way (as
+    vertex maps; they generate a subgroup of Aut(g), usually all of it)."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(rows[v].bit_count(), []).append(v)
-    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)])
+    stable: set[int] = set()
+    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
 
     best_bits: Optional[int] = None
     best_label: Optional[list[int]] = None
@@ -108,7 +135,7 @@ def _canonical_labeling(g: Graph) -> list[int]:
             frontier = nxt
         return False
 
-    def descend(cells: list[list[int]], fixed: list[int]) -> None:
+    def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
         nonlocal best_bits, best_label
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
@@ -131,11 +158,12 @@ def _canonical_labeling(g: Graph) -> list[int]:
             done.append(v)
             rest = [u for u in cells[target] if u != v]
             child = cells[:target] + [[v], rest] + cells[target + 1:]
-            descend(_refine(rows, child), fixed + [v])
+            child_stable = set(stable)
+            descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
 
-    descend(cells, [])
-    assert best_label is not None
-    return best_label
+    descend(cells, [], stable)
+    assert best_bits is not None
+    return best_bits, gens
 
 
 def canonical_form(g: Graph) -> str:
@@ -143,24 +171,36 @@ def canonical_form(g: Graph) -> str:
     isomorphic exactly when their canonical forms are string-equal."""
     if g.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical form limited to n <= {MAX_CANONICAL_N}, got {g.n}")
-    if g.n <= 1:
-        return to_graph6(g)
-    label = _canonical_labeling(g)
-    pos = [0] * g.n
-    for i, v in enumerate(label):
-        pos[v] = i
-    rows = [0] * g.n
-    for i, v in enumerate(label):
-        for u in iter_bits(g.rows[v]):
-            rows[i] |= 1 << pos[u]
-    return to_graph6(Graph(g.n, tuple(rows)))
+    return _encode_graph6(g.n, _canonical_labeling(g)[0])
+
+
+def _orbit_reps(n: int, gens: list[list[int]]) -> Iterator[int]:
+    """The least mask of each orbit of the group the vertex maps ``gens``
+    generate, acting on the subsets of n vertices, ascending."""
+    seen = bytearray(1 << n)
+    for rep in range(1 << n):
+        if seen[rep]:
+            continue
+        yield rep
+        seen[rep] = 1
+        stack = [rep]
+        while stack:
+            mask = stack.pop()
+            for p in gens:
+                image = 0
+                for v in iter_bits(mask):
+                    image |= 1 << p[v]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
 
 
 def _extensions(parent: Graph) -> Iterator[Graph]:
-    """All graphs made by adding one vertex to the parent (every possible
-    neighbourhood), new vertex last."""
+    """The graphs made by adding one vertex to the parent, new vertex last:
+    one neighbourhood per orbit of the parent's automorphisms found by the
+    canonical labelling (the rest are isomorphic to these)."""
     n = parent.n + 1
-    for nb in range(1 << parent.n):
+    for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
         rows = [parent.rows[v] | ((nb >> v & 1) << parent.n) for v in range(parent.n)]
         rows.append(nb)
         yield Graph(n, tuple(rows))

@@ -169,26 +169,27 @@ def parse_graph6(text: str | bytes, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _encode_graph6(n: int, bits: int) -> str:
+    """graph6 text of an n-vertex graph from its upper-triangle bit-string,
+    the pairs (0,1), (0,2), (1,2), (0,3), ... read from the most significant
+    bit down.  The one graph6 writer of the package."""
+    if n <= 62:
+        head = chr(63 + n)
+    elif n <= 258047:
+        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    else:
+        raise ValueError(f"vertex count {n} too large for graph6")
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return head + bytes([63 + (bits >> s & 63) for s in range(nbits + pad - 6, -1, -6)]).decode()
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as graph6 (short vertex-count form whenever n <= 62)."""
-    if g.n <= 62:
-        head = chr(63 + g.n)
-    elif g.n <= 258047:
-        head = "~" + "".join(chr(63 + (g.n >> s & 63)) for s in (12, 6, 0))
-    else:
-        raise ValueError(f"vertex count {g.n} too large for graph6")
-    bits: list[int] = []
-    for v in range(g.n):
-        for u in range(v):
-            bits.append(g.rows[u] >> v & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-                  | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
-        for i in range(0, len(bits), 6)
-    )
-    return head + body
+    # column v holds the pairs (0,v) .. (v-1,v), lowest u first
+    column = "".join(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    return _encode_graph6(g.n, int(column or "0", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from critcolor.chroma import (
     BudgetExhausted,
     Coloring,
+    _dsatur_coloring,
     chromatic_number,
     clique_number,
     independence_number,
@@ -11,11 +12,13 @@ from critcolor.chroma import (
     is_proper_coloring,
 )
 from critcolor.graphs import (
+    Graph,
     complement,
     complete_graph,
     disjoint_union,
     empty_graph,
     from_edges,
+    iter_bits,
 )
 
 from conftest import graphs, random_graph
@@ -137,6 +140,65 @@ def test_budget_exhaustion():
         is_k_colorable(g, 3, budget=2)
     # a generous budget changes nothing
     assert chromatic_number(C5, budget=10**6)[0] == 3
+
+
+def least_budget(search) -> int:
+    """The fewest search nodes with which ``search(budget)`` completes."""
+    budget = 0
+    while True:
+        try:
+            search(budget)
+            return budget
+        except BudgetExhausted:
+            budget += 1
+
+
+GROTZSCH = from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+                     + [(5 + i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, (i - 1) % 5) for i in range(5)]
+                     + [(5 + i, 10) for i in range(5)])
+
+
+@pytest.mark.parametrize("g", [C5, GROTZSCH])
+def test_chromatic_number_sub_searches_share_one_budget(g):
+    chi = chromatic_number(g)[0]
+    lower, greedy = clique_number(g), _dsatur_coloring(g).palette_size
+    assert lower < greedy  # so at least one decision search runs
+    each = [least_budget(lambda b: clique_number(g, b))]
+    each += [least_budget(lambda b, k=k: is_k_colorable(g, k, b))
+             for k in range(lower, min(chi + 1, greedy))]
+    # every sub-search fits the largest single need, but not all of them together
+    with pytest.raises(BudgetExhausted):
+        chromatic_number(g, budget=max(each))
+    assert chromatic_number(g, budget=sum(each))[0] == chi
+
+
+def reference_dsatur(g: Graph) -> Coloring:
+    """The saturation greedy as first written: min() over a key lambda."""
+    n = g.n
+    colour_of = [0] * n
+    neighbour_colours: list[set[int]] = [set() for _ in range(n)]
+    degs = [g.degree(v) for v in range(n)]
+    used = 0
+    for _ in range(n):
+        v = min(
+            (v for v in range(n) if not colour_of[v]),
+            key=lambda v: (-len(neighbour_colours[v]), -degs[v], v),
+        )
+        c = 1
+        while c in neighbour_colours[v]:
+            c += 1
+        colour_of[v] = c
+        used = max(used, c)
+        for u in iter_bits(g.rows[v]):
+            neighbour_colours[u].add(c)
+    return Coloring(used, tuple(colour_of))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=11))
+def test_dsatur_picks_like_the_reference_rule(g):
+    assert _dsatur_coloring(g) == reference_dsatur(g)
 
 
 def test_coloring_classes():

@@ -114,6 +114,22 @@ def test_budget_flag(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_critical_budget_flag_aborts(capsys):
+    assert run(["critical", "--budget", "1", "--k", "4", "Fb]lg"]) == 2
+    assert "budget exhausted" in capsys.readouterr().err
+    assert run(["critical", "--budget", "100000", "--k", "4", "Fb]lg"]) == 0
+
+
+def test_certify_budget_flag_aborts(tmp_path, capsys):
+    target = tmp_path / "odd.critdb"
+    assert run(["enumerate", "--n", "5", "--critical", "3", "--db", str(target)]) == 0
+    capsys.readouterr()
+    for graph in (P4, C5):  # the colouring search, then the member check
+        assert run(["certify", "--budget", "1", "--k", "2", "--db", str(target), graph]) == 2
+        assert "budget exhausted" in capsys.readouterr().err
+    assert run(["certify", "--budget", "100000", "--k", "2", "--db", str(target), C5]) == 1
+
+
 def test_enumerate_streams_graph6(capsys):
     assert run(["enumerate", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == ["B?", "BG", "BW", "Bw"]

@@ -1,12 +1,14 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcolor.critical import CriticalDb
+from critcolor.critical import CriticalDb, load_critdb
 from critcolor.enumeration import (
+    _orbit_reps,
     canonical_form,
     enumerate_critical,
     enumerate_graphs,
@@ -24,7 +26,7 @@ from critcolor.graphs import (
 )
 from critcolor.patterns import clique, parse_pattern, path
 
-from conftest import graphs
+from conftest import graphs, random_graph
 from oracles import brute_canonical_key, naive_is_isomorphic
 
 # unlabeled simple graphs by order, then the connected ones
@@ -73,6 +75,35 @@ def test_canonical_form_on_symmetric_graphs(petersen):
     assert canonical_form(complete_graph(16)) == to_graph6(complete_graph(16))
 
 
+# golden canonical forms: saved critdb files are verified against these
+# labellings, so they must never change (a different cell order in the
+# refinement would change them)
+GOLDEN_RANDOM_FORMS = [
+    "I?GoyTTew", "IBXk[lznw", "I?CZDC|rg", "IG?ghvYfo", "I?B_xszUw",
+    "I?DsBSnug", "I?HP?mZqw", "IPTYzmyzW", "IAgZjzenw", "IAgZjm{jw",
+    "I@Sc^G}tw", "I?HMlqV^G", "I?Cz]t}|W", "I?CjMUutW", "I?ShzMVlW",
+    "I_@Xp}i{G", "IA[r\\M|tw", "I?_padmrW", "I?wPImuvw", "I?oPXhv~w",
+]
+
+
+def test_canonical_forms_are_frozen(petersen):
+    c9 = from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
+    k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    wagner = from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    assert canonical_form(petersen) == "I?LRCecq?"
+    assert canonical_form(c9) == "H?CidB?"
+    assert canonical_form(k33) == "EFz_"
+    assert canonical_form(wagner) == "G@Umf?"
+    forms = [canonical_form(random_graph(10, 0.5, seed)) for seed in range(20)]
+    assert forms == GOLDEN_RANDOM_FORMS
+
+
+def test_critdb_saved_by_earlier_code_still_verifies():
+    db = load_critdb(str(Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"))
+    assert verify_critdb(db)
+    assert db == enumerate_critical(4, 7, [parse_pattern("P4+P1")])
+
+
 def test_canonical_form_size_limit():
     with pytest.raises(ValueError):
         canonical_form(empty_graph(17))
@@ -81,6 +112,60 @@ def test_canonical_form_size_limit():
 # ---------------------------------------------------------------------------
 # exhaustive generation
 # ---------------------------------------------------------------------------
+
+
+def apply_map(p, mask: int) -> int:
+    return sum(1 << p[v] for v in range(len(p)) if mask >> v & 1)
+
+
+def group_closure(n: int, gens: list[list[int]]) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for p in gens:
+            h = tuple(p[g[v]] for v in range(n))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+def assert_reps_partition(n: int, gens: list[list[int]]) -> list[int]:
+    reps = list(_orbit_reps(n, gens))
+    group = group_closure(n, gens)
+    for mask in range(1 << n):
+        orbit = {apply_map(p, mask) for p in group}
+        assert sum(rep in orbit for rep in reps) == 1
+    return reps
+
+
+def test_orbit_reps_without_generators_are_all_masks():
+    assert list(_orbit_reps(4, [])) == list(range(16))
+    assert list(_orbit_reps(0, [])) == [0]
+
+
+def test_orbit_reps_of_the_dihedral_group_on_c5():
+    # Burnside: (32 + 4*2 + 5*8) / 10 = 8 orbits of subsets of a 5-cycle
+    rotation, reflection = [1, 2, 3, 4, 0], [0, 4, 3, 2, 1]
+    assert len(assert_reps_partition(5, [rotation, reflection])) == 8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orbit_reps_of_the_symmetric_group_are_the_sizes(n):
+    swap = [1, 0] + list(range(2, n))
+    cycle = list(range(1, n)) + [0]
+    assert len(assert_reps_partition(n, [swap, cycle])) == n + 1
+
+
+def test_orbit_reps_of_a_random_group():
+    rng = random.Random(11)
+    gens = []
+    for _ in range(2):
+        p = list(range(6))
+        rng.shuffle(p)
+        gens.append(p)
+    assert_reps_partition(6, gens)
 
 
 def brute_count(n: int) -> int:

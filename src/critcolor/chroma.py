@@ -53,6 +53,15 @@ class _Budget:
     def shared(budget: Optional[int | _Budget]) -> _Budget:
         return budget if isinstance(budget, _Budget) else _Budget(budget)
 
+    @staticmethod
+    def capped(budget: Optional[int | _Budget]) -> Optional[_Budget]:
+        """The shared counter, or None when nothing caps the search, so that
+        uncapped searches skip the bookkeeping."""
+        if budget is None:
+            return None
+        counter = _Budget.shared(budget)
+        return None if counter.left is None else counter
+
     def spend(self) -> None:
         if self.left is not None:
             self.left -= 1

@@ -230,17 +230,25 @@ def write_critdb(db: CriticalDb) -> str:
 
 
 def parse_critdb(text: str) -> CriticalDb:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#critdb "):
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#critdb "):
         raise ValueError("missing #critdb header line")
-    header = lines[0][len("#critdb "):].strip()
+    at, header = lines[0][0], lines[0][1][len("#critdb "):].strip()
     fields = dict(part.split("=", 1) for part in header.split(" ") if "=" in part)
     if "k" not in fields or "family" not in fields:
-        raise ValueError("header must carry k= and family=")
-    k = int(fields["k"])
-    family = tuple(parse_pattern(t) for t in fields["family"].split(",") if t)
+        raise ValueError(f"line {at}: header must carry k= and family=")
+    try:
+        k = int(fields["k"])
+    except ValueError:
+        raise ValueError(f"line {at}: k must be an integer, got {fields['k']!r}") from None
+    if k < 1:
+        raise ValueError(f"line {at}: k must be at least 1, got {k}")
+    try:
+        family = tuple(parse_pattern(t) for t in fields["family"].split(",") if t)
+    except ValueError as exc:
+        raise ValueError(f"line {at}: {exc}") from exc
     members = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         try:
             parse_graph6(line)
         except Graph6Error as exc:
@@ -281,18 +289,18 @@ def certify_k_colorable(
     re-verified before being returned: a member that embeds is used only if
     it really is not k-colourable.  If the database is incomplete and
     neither branch fires, a fresh (k+1)-critical subgraph is extracted and
-    returned as the witness.  ``budget`` caps the colouring search nodes of
-    the whole call.
+    returned as the witness.  ``budget`` caps the pattern and colouring
+    search nodes of the whole call.
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
-    ok, hit = is_free(g, db.family)
+    counter = chroma._Budget(budget)
+    ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
-    counter = chroma._Budget(budget)
     for i, text in enumerate(db.members):
         member = parse_graph6(text)
-        emb = find_induced_subgraph(g, member)
+        emb = find_induced_subgraph(g, member, counter)
         if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
             return CriticalWitness(i, text, emb)
     col = chroma.is_k_colorable(g, k, counter)

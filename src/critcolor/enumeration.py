@@ -23,15 +23,29 @@ in every way, one neighbourhood per orbit of the parent's automorphism group
 (isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
 1998: children from one orbit are isomorphic).  The group is the one the
 parent's canonical labelling found generators for, so the pruning stays
-exact even where those generate only a subgroup.  Forbidden-pattern filters
-are hereditary, so a child that contains a pattern is dropped for good.  A
-classifier then sorts every surviving child: extended (it becomes a parent
-of the next level), emitted (it goes forward as a candidate answer) or
-dropped.  Extended and emitted children are deduplicated by canonical form
-per level.  The filter and every classifier test are isomorphism-invariant,
-so the orbit pruning changes no output.  Plain enumeration extends
-everything; critical enumeration extends the (k-1)-colourable children and
-emits the ones that pass the cheap criticality screens.
+exact even where those generate only a subgroup.
+
+Forbidden families are hereditary, so a child that contains a family graph
+is dropped for good, and every parent is family-free.  A child made by
+adding v to a parent therefore contains a family graph F only through a copy
+that uses v: a copy of F - p inside the parent, on some vertex set S, with
+N(v) & S equal to the image of p's neighbours (the trace).  So each parent
+lists, once, every induced copy of every F - p (one p per orbit of Aut(F))
+as an (S, trace) pair, and a neighbourhood mask nb is rejected exactly when
+nb & S is a trace of some S, before the child is built.  When F - p is
+empty, S and the trace are both 0 and every child is rejected.
+
+A per-parent classifier then sorts every surviving child: extended (it
+becomes a parent of the next level), emitted (it goes forward as a candidate
+answer) or dropped.  Extended and emitted children are deduplicated by
+canonical form per level.  The filter and every classifier test are
+isomorphism-invariant, so the orbit pruning changes no output.  Plain
+enumeration extends everything; critical enumeration extends the
+(k-1)-colourable children and emits the ones that pass the cheap
+criticality screens.  It colours each parent once with k-1 colours (every
+parent is (k-1)-colourable): a new vertex that misses one colour class takes
+that colour, so only the children whose neighbourhood meets every class are
+coloured from scratch.
 """
 
 from __future__ import annotations
@@ -41,8 +55,16 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import chroma
 from .critical import CriticalDb, criticality_report, find_comparable_nonadjacent
-from .graphs import Graph, Graph6Error, _encode_graph6, is_connected, iter_bits, parse_graph6
-from .patterns import PatternSpec, find_induced_subgraph, realize
+from .graphs import (
+    Graph,
+    Graph6Error,
+    _encode_graph6,
+    delete_vertex,
+    is_connected,
+    iter_bits,
+    parse_graph6,
+)
+from .patterns import PatternSpec, _induced_copies, find_induced_subgraph, realize
 
 MAX_CANONICAL_N = 16
 MAX_ENUMERATION_N = 10
@@ -195,15 +217,44 @@ def _orbit_reps(n: int, gens: list[list[int]]) -> Iterator[int]:
                     stack.append(image)
 
 
-def _extensions(parent: Graph) -> Iterator[Graph]:
-    """The graphs made by adding one vertex to the parent, new vertex last:
-    one neighbourhood per orbit of the parent's automorphisms found by the
-    canonical labelling (the rest are isomorphic to these)."""
-    n = parent.n + 1
-    for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
-        rows = [parent.rows[v] | ((nb >> v & 1) << parent.n) for v in range(parent.n)]
-        rows.append(nb)
-        yield Graph(n, tuple(rows))
+def _attach(parent: Graph, nb: int) -> Graph:
+    """The parent plus a new last vertex with neighbourhood mask nb."""
+    n = parent.n
+    rows = [parent.rows[v] | ((nb >> v & 1) << n) for v in range(n)]
+    rows.append(nb)
+    return Graph(n + 1, tuple(rows))
+
+
+def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph, int]]:
+    """For each family graph F and each vertex p of F, one per orbit of the
+    automorphisms found by F's canonical labelling: F - p and the mask of
+    p's neighbours in it.  A graph larger than n_max can never embed."""
+    out = []
+    for f in filter_graphs:
+        if f.n > n_max:
+            continue
+        for rep in _orbit_reps(f.n, _canonical_labeling(f)[1]):
+            if rep.bit_count() == 1:
+                p = rep.bit_length() - 1
+                row = f.rows[p]
+                out.append((delete_vertex(f, p), row & (rep - 1) | row >> 1 & ~(rep - 1)))
+    return out
+
+
+def _forbidden_traces(parent: Graph, trace_patterns: list[tuple[Graph, int]]) -> dict[int, set[int]]:
+    """The forbidden traces of a family-free parent, by vertex set S: a new
+    vertex with neighbourhood nb completes a family graph exactly when
+    nb & S is one of the traces of some S."""
+    traces: dict[int, set[int]] = {}
+    for rest, p_nbrs in trace_patterns:
+        for mapping in _induced_copies(parent, rest):
+            s = trace = 0
+            for u, h in enumerate(mapping):
+                s |= 1 << h
+                if p_nbrs >> u & 1:
+                    trace |= 1 << h
+            traces.setdefault(s, set()).add(trace)
+    return traces
 
 
 def _passes(g: Graph, filter_graphs: list[Graph]) -> bool:
@@ -212,25 +263,32 @@ def _passes(g: Graph, filter_graphs: list[Graph]) -> bool:
 
 _EXTEND, _EMIT = "extend", "emit"
 
+_ChildClassifier = Callable[[Graph, int, int], Optional[str]]
+
 
 def _walk(
-    n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph, int], Optional[str]]
+    n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], list[str]]]:
-    """The level walk.  Each family-free child on n vertices is classified
-    by ``classify(child, n)`` as _EXTEND, _EMIT or None (dropped).  Yields,
-    per order n, one canonical representative per class of extended
-    children, which are also the next level's parents, and the sorted
-    canonical forms of the emitted children."""
-    filter_graphs = [realize(f) for f in family]
+    """The level walk.  Each parent gets its child classifier from
+    ``classify(parent)``; each family-free child on n vertices, with the new
+    vertex's neighbourhood mask nb, is classified by ``classifier(child, n,
+    nb)`` as _EXTEND, _EMIT or None (dropped).  Yields, per order n, one
+    canonical representative per class of extended children, which are also
+    the next level's parents, and the sorted canonical forms of the emitted
+    children."""
+    trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
     parents = [Graph(0, ())]
     for n in range(1, n_max + 1):
         extended: dict[str, Graph] = {}
         emitted: set[str] = set()
         for parent in parents:
-            for child in _extensions(parent):
-                if not _passes(child, filter_graphs):
+            forbidden = _forbidden_traces(parent, trace_patterns)
+            classify_child = classify(parent)
+            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+                if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
                     continue
-                kind = classify(child, n)
+                child = _attach(parent, nb)
+                kind = classify_child(child, n, nb)
                 if kind == _EXTEND:
                     canon = canonical_form(child)
                     if canon not in extended:
@@ -241,8 +299,12 @@ def _walk(
         yield n, parents, sorted(emitted)
 
 
-def _extend_all(child: Graph, n: int) -> str:
+def _always_extend(child: Graph, n: int, nb: int) -> str:
     return _EXTEND
+
+
+def _extend_all(parent: Graph) -> _ChildClassifier:
+    return _always_extend
 
 
 def enumerate_graphs(
@@ -272,6 +334,33 @@ def enumerate_up_to(
                 yield g
 
 
+def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
+    """The child classifier of critical enumeration for one parent: extend
+    the (k-1)-colourable children below n_max, emit the others that pass the
+    cheap criticality screens.  Parents are (k-1)-colourable (nothing else is
+    extended), and a new vertex that misses a colour class of the parent's
+    colouring takes that colour; an unused colour is a class every vertex
+    misses.  Only the other children are coloured from scratch."""
+    classes = [0] * (k - 1)
+    for v, c in enumerate(chroma.is_k_colorable(parent, k - 1).assignment):
+        classes[c - 1] |= 1 << v
+
+    def classify_child(child: Graph, n: int, nb: int) -> Optional[str]:
+        if any(not nb & c for c in classes) or chroma.is_k_colorable(child, k - 1) is not None:
+            return _EXTEND if n < n_max else None
+        # chi is exactly k here: the parent was (k-1)-colourable, so one
+        # added vertex cannot push the chromatic number past k
+        if (
+            not is_connected(child)
+            or min(child.degree(v) for v in range(child.n)) < k - 1
+            or find_comparable_nonadjacent(child) is not None
+        ):
+            return None
+        return _EMIT
+
+    return classify_child
+
+
 def enumerate_critical(
     k: int, n_max: int, family: Iterable[PatternSpec] = ()
 ) -> CriticalDb:
@@ -291,23 +380,9 @@ def enumerate_critical(
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to n_max <= {MAX_ENUMERATION_N}, got {n_max}")
     family = tuple(family)
-
-    def classify(child: Graph, n: int) -> Optional[str]:
-        if chroma.is_k_colorable(child, k - 1) is not None:
-            return _EXTEND if n < n_max else None
-        # chi is exactly k here: the parent was (k-1)-colourable, so one
-        # added vertex cannot push the chromatic number past k
-        if (
-            not is_connected(child)
-            or min(child.degree(v) for v in range(child.n)) < k - 1
-            or find_comparable_nonadjacent(child) is not None
-        ):
-            return None
-        return _EMIT
-
     members = [
         canon
-        for _, _, emitted in _walk(n_max, family, classify)
+        for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max))
         for canon in emitted
         if criticality_report(parse_graph6(canon), k).verdict
     ]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .chroma import _Budget
 from .graphs import Graph, disjoint_union, from_edges
 
 _SIMPLE_KINDS = {"chair", "bull", "cricket", "gem", "2p2"}
@@ -193,21 +194,28 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[tuple[tuple
     return order, earlier, degs
 
 
-def find_induced_subgraph(host: Graph, pattern: Graph) -> Optional[Embedding]:
-    """First induced copy of a concrete pattern graph inside the host.
+def _induced_copies(
+    host: Graph, pattern: Graph, budget: Optional[int | _Budget] = None, first: bool = False
+) -> list[tuple[int, ...]]:
+    """Every induced copy of a concrete pattern graph inside the host, as
+    mappings (pattern vertex i sits at host vertex mapping[i]); with
+    ``first``, only the first one.
 
     Pattern vertices are paired off highest degree first and host candidates
-    tried in ascending index, so the embedding returned is the least one
-    under that fixed order.  The result is re-checked before it is returned.
+    tried in ascending index, so copies come in a fixed order.  Each
+    placement of a pattern vertex spends one node of the budget.
     """
     if pattern.n > host.n:
-        return None
+        return []
     if pattern.n == 0:
-        return Embedding(())
+        return [()]
     order, earlier_adj, pat_deg = _compile_pattern(pattern)
+    counter = _Budget.capped(budget)
     rows = host.rows
     host_full = (1 << host.n) - 1
+    last = pattern.n - 1
     images = [0] * pattern.n
+    found: list[list[int]] = []
     used = 0
 
     def place(i: int) -> bool:
@@ -224,33 +232,65 @@ def find_induced_subgraph(host: Graph, pattern: Graph) -> Optional[Embedding]:
             h = low.bit_length() - 1
             cand ^= low
             if rows[h].bit_count() >= need:
+                if counter is not None:
+                    counter.spend()
                 images[i] = h
+                if i == last:
+                    found.append(images[:])
+                    if first:
+                        return True
+                    continue
                 used |= low
-                if i + 1 == pattern.n or place(i + 1):
+                if place(i + 1):
                     return True
                 used &= ~low
         return False
 
-    if not place(0):
+    place(0)
+    copies = []
+    for placed in found:
+        mapping = [0] * pattern.n
+        for i, p in enumerate(order):
+            mapping[p] = placed[i]
+        copies.append(tuple(mapping))
+    return copies
+
+
+def find_induced_subgraph(
+    host: Graph, pattern: Graph, budget: Optional[int | _Budget] = None
+) -> Optional[Embedding]:
+    """First induced copy of a concrete pattern graph inside the host.
+
+    Pattern vertices are paired off highest degree first and host candidates
+    tried in ascending index, so the embedding returned is the least one
+    under that fixed order.  The result is re-checked before it is returned.
+    ``budget`` caps the placements tried, as a node count or a counter
+    shared with other searches.
+    """
+    copies = _induced_copies(host, pattern, budget, first=True)
+    if not copies:
         return None
-    mapping = [0] * pattern.n
-    for i, p in enumerate(order):
-        mapping[p] = images[i]
-    emb = Embedding(tuple(mapping))
+    emb = Embedding(copies[0])
     if not embedding_is_induced(host, pattern, emb):
         raise AssertionError("search produced a bad embedding")  # pragma: no cover
     return emb
 
 
-def find_induced(host: Graph, spec: PatternSpec) -> Optional[Embedding]:
+def find_induced(
+    host: Graph, spec: PatternSpec, budget: Optional[int | _Budget] = None
+) -> Optional[Embedding]:
     """First induced copy of the pattern named by a spec, or None."""
-    return find_induced_subgraph(host, realize(spec))
+    return find_induced_subgraph(host, realize(spec), budget)
 
 
-def is_free(host: Graph, family: Iterable[PatternSpec]) -> tuple[bool, Optional[tuple[PatternSpec, Embedding]]]:
-    """Check the host against every pattern; stop at the first hit."""
+def is_free(
+    host: Graph, family: Iterable[PatternSpec], budget: Optional[int | _Budget] = None
+) -> tuple[bool, Optional[tuple[PatternSpec, Embedding]]]:
+    """Check the host against every pattern; stop at the first hit.  The
+    searches share one ``budget``."""
+    counter = _Budget.shared(budget)
     for spec in family:
-        emb = find_induced(host, spec)
+        emb = find_induced(host, spec, counter)
         if emb is not None:
             return False, (spec, emb)
     return True, None

@@ -130,6 +130,24 @@ def test_certify_budget_flag_aborts(tmp_path, capsys):
     assert run(["certify", "--budget", "100000", "--k", "2", "--db", str(target), C5]) == 1
 
 
+def test_certify_budget_caps_the_pattern_searches(capsys, monkeypatch):
+    from pathlib import Path
+
+    from critcolor import chroma, critical
+
+    # K12,12,12 is P4-free: the family check and every member search would
+    # run to the end before the colouring search spent its first node
+    k12_12_12 = to_graph6(from_edges(36, [(u, v) for v in range(36) for u in range(v) if u // 12 != v // 12]))
+    db = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
+    spent, searches = [], []
+    real_spend, real_search = chroma._Budget.spend, critical.find_induced_subgraph
+    monkeypatch.setattr(chroma._Budget, "spend", lambda self: spent.append(1) or real_spend(self))
+    monkeypatch.setattr(critical, "find_induced_subgraph", lambda *a: searches.append(1) or real_search(*a))
+    assert run(["certify", "--budget", "1", "--k", "3", "--db", str(db), k12_12_12]) == 2
+    assert "budget exhausted" in capsys.readouterr().err
+    assert len(spent) == 2 and searches == []
+
+
 def test_enumerate_streams_graph6(capsys):
     assert run(["enumerate", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == ["B?", "BG", "BW", "Bw"]

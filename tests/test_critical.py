@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critcolor.chroma import Coloring, chromatic_number, is_k_colorable, is_proper_coloring
 from critcolor.enumeration import enumerate_graphs
@@ -22,10 +23,12 @@ from critcolor.critical import (
     write_critdb,
 )
 from critcolor.graphs import (
+    bits_of,
     complete_graph,
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     parse_graph6,
     to_graph6,
 )
@@ -38,7 +41,7 @@ from critcolor.patterns import (
 )
 
 from conftest import graphs
-from oracles import naive_is_isomorphic
+from oracles import naive_is_isomorphic, naive_is_k_colorable
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -190,6 +193,21 @@ def test_parse_critdb_rejects_malformed_input():
         parse_critdb("#critdb k=3 family=\nD?\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("#critdb k=x family=P5\nC~\n", "line 1: k must be an integer, got 'x'"),
+    ("#critdb k=4 family=P9q\nC~\n", "line 1: cannot parse pattern 'p9q'"),
+    ("#critdb k=-2 family=P5\nC~\n", "line 1: k must be at least 1, got -2"),
+    ("#critdb k=0 family=\n", "line 1: k must be at least 1, got 0"),
+    ("#critdb family=P4\nBw\n", "line 1: header must carry k= and family="),
+    ("\n#critdb k=0 family=\n", "line 2: k must be at least 1, got 0"),
+    ("#critdb k=3 family=\n\nBw\n\nD?\n", "line 5: need 2 adjacency bytes for n=5, found 1 (byte offset 2)"),
+])
+def test_parse_critdb_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_critdb(text)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -270,6 +288,32 @@ def test_certify_matches_decision_on_small_cographs(k):
                 assert is_k_colorable(g, k) is None
             checked += 1
     assert checked > 150
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graphs(max_n=7, min_n=1),
+    st.integers(1, 3),
+    st.lists(graphs(max_n=5, min_n=1), max_size=3),
+    st.lists(st.integers(0, 2**7 - 1), max_size=3),
+    st.booleans(),
+)
+def test_certify_never_witnesses_a_colourable_graph(g, k, strangers, subsets, duplicate):
+    # adversarial databases: random graphs, induced subgraphs of the host
+    # (k-colourable when the host is) passed off as members, and duplicates
+    members = [to_graph6(h) for h in strangers]
+    members += [to_graph6(induced_subgraph(g, sorted(bits_of(m & ((1 << g.n) - 1))))) for m in subsets]
+    if duplicate:
+        members += members
+    db = CriticalDb(k + 1, (), tuple(members))
+    out = certify_k_colorable(g, k, db)
+    if isinstance(out, Coloring):
+        assert is_proper_coloring(g, out) and out.palette_size <= k
+    else:
+        assert not naive_is_k_colorable(g, k)
+        witness = parse_graph6(out.pattern_graph6)
+        assert embedding_is_induced(g, witness, out.embedding)
+        assert not naive_is_k_colorable(witness, k)
 
 
 def test_report_verdict_survives_relabeling():

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from critcolor.critical import CriticalDb, load_critdb
 from critcolor.enumeration import (
+    _EMIT,
+    _EXTEND,
+    _attach,
+    _canonical_labeling,
+    _critical_classifier,
+    _forbidden_traces,
     _orbit_reps,
+    _passes,
+    _trace_patterns,
     canonical_form,
     enumerate_critical,
     enumerate_graphs,
@@ -24,7 +32,7 @@ from critcolor.graphs import (
     parse_graph6,
     to_graph6,
 )
-from critcolor.patterns import clique, parse_pattern, path
+from critcolor.patterns import clique, is_free, parse_pattern, path, realize
 
 from conftest import graphs, random_graph
 from oracles import brute_canonical_key, naive_is_isomorphic
@@ -221,17 +229,83 @@ def test_edge_free_enumeration_is_the_edgeless_graph():
     assert got == [empty_graph(5)]
 
 
-@pytest.mark.parametrize("spec_text", ["K3", "P4", "P4+P1", "chair"])
-def test_pruned_enumeration_equals_post_filtering(spec_text):
+# families for the differential tests of the family filter
+FAMILIES = [
+    ["P1"], ["K2"], ["K3"], ["P4"], ["2P2"], ["chair"], ["bull"], ["cricket"], ["P5"],
+    ["P4+P1"], ["P4+2P1"], ["broom(4,1)"], ["broomplus(1)"], ["C5+P1"], ["K3", "2P2"],
+]
+
+
+@pytest.fixture(scope="module")
+def all_graphs_up_to_6():
+    return list(enumerate_up_to(6))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=",".join)
+def test_pruned_enumeration_equals_post_filtering(family, all_graphs_up_to_6):
     # the generator prunes inside the search tree; hereditary closure means
     # that must agree with filtering the unpruned stream after the fact
-    from critcolor.patterns import is_free
-
-    spec = parse_pattern(spec_text)
+    specs = [parse_pattern(t) for t in family]
     for n in range(1, 7):
-        pruned = [to_graph6(g) for g in enumerate_graphs(n, filters=[spec])]
-        sieved = [to_graph6(g) for g in enumerate_graphs(n) if is_free(g, [spec])[0]]
+        pruned = [to_graph6(g) for g in enumerate_graphs(n, filters=specs)]
+        sieved = [to_graph6(g) for g in all_graphs_up_to_6 if g.n == n and is_free(g, specs)[0]]
         assert pruned == sieved
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=",".join)
+def test_forbidden_traces_reject_exactly_the_children_containing_the_family(family):
+    specs = [parse_pattern(t) for t in family]
+    filter_graphs = [realize(s) for s in specs]
+    trace_patterns = _trace_patterns(filter_graphs, 7)
+    rejected = 0
+    for parent in [Graph(0, ())] + list(enumerate_up_to(6, filters=specs)):
+        forbidden = _forbidden_traces(parent, trace_patterns)
+        for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+            hit = any(nb & s in traces for s, traces in forbidden.items())
+            assert hit == (not _passes(_attach(parent, nb), filter_graphs)), (to_graph6(parent), nb)
+            rejected += hit
+    assert rejected > 0
+
+
+def test_trace_patterns_skip_graphs_too_large_to_embed():
+    assert _trace_patterns([realize(path(6))], 5) == []
+    assert len(_trace_patterns([realize(path(6))], 6)) == 3  # one vertex per orbit
+
+
+@pytest.fixture(scope="module")
+def four_critical_up_to_7():
+    return enumerate_critical(4, 7)
+
+
+@pytest.mark.parametrize("spec_text", ["P4+P1", "2P2", "chair", "bull", "cricket"])
+def test_critical_enumeration_equals_post_filtering(spec_text, four_critical_up_to_7):
+    spec = parse_pattern(spec_text)
+    want = [m for m in four_critical_up_to_7.members if is_free(parse_graph6(m), [spec])[0]]
+    assert list(enumerate_critical(4, 7, [spec]).members) == want
+
+
+def test_parent_colouring_shortcut(monkeypatch):
+    from critcolor import chroma
+
+    coloured = []
+    real = chroma.is_k_colorable
+    monkeypatch.setattr(chroma, "is_k_colorable", lambda g, k, budget=None: coloured.append(g) or real(g, k, budget))
+    # K2 takes 2 of the k - 1 = 3 colours: the unused one fits every new vertex
+    classify_child = _critical_classifier(complete_graph(2), 4, 7)
+    assert len(coloured) == 1
+    for nb in range(4):
+        assert classify_child(_attach(complete_graph(2), nb), 3, nb) == _EXTEND
+    assert len(coloured) == 1
+    # K3 uses all three: only the vertex seeing every class is coloured anew
+    classify_child = _critical_classifier(complete_graph(3), 4, 7)
+    for nb in range(7):
+        assert classify_child(_attach(complete_graph(3), nb), 4, nb) == _EXTEND
+    assert len(coloured) == 2
+    assert classify_child(complete_graph(4), 4, 7) == _EMIT
+    assert coloured[-1] == complete_graph(4)
+    # at the last order colourable children are dropped, shortcut or not
+    classify_last = _critical_classifier(complete_graph(3), 4, 4)
+    assert classify_last(_attach(complete_graph(3), 3), 4, 3) is None
 
 
 def test_canonical_form_under_many_permutations(petersen):

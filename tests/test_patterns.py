@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critcolor.chroma import BudgetExhausted, _Budget
 from critcolor.graphs import complete_graph, disjoint_union, empty_graph, from_edges
 from critcolor.patterns import (
     BULL,
@@ -12,6 +15,7 @@ from critcolor.patterns import (
     Embedding,
     PatternSpec,
     PatternViolation,
+    _induced_copies,
     broom,
     broomplus,
     clique,
@@ -237,6 +241,48 @@ def test_exhaustive_small_hosts_against_brute_force():
                 assert (got is not None) == want
                 if got is not None:
                     assert embedding_is_induced(host, pat, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=6), st.sampled_from(
+    [path(1), path(3), path(4), clique(3), TWO_P2, plus_isolated(path(3), 1), CHAIR]))
+def test_induced_copies_are_every_induced_embedding(host, spec):
+    pattern = realize(spec)
+    copies = _induced_copies(host, pattern)
+    want = {
+        image for image in permutations(range(host.n), pattern.n)
+        if embedding_is_induced(host, pattern, Embedding(image))
+    }
+    assert len(copies) == len(set(copies)) and set(copies) == want
+    first = find_induced_subgraph(host, pattern)
+    assert _induced_copies(host, pattern, first=True) == copies[:1]
+    assert (first is None and not copies) or first.mapping == copies[0]
+
+
+def test_empty_pattern_has_one_copy():
+    assert _induced_copies(C5, empty_graph(0)) == [()]
+
+
+def test_pattern_search_spends_its_budget():
+    k444 = from_edges(12, [(u, v) for v in range(12) for u in range(v) if u // 4 != v // 4])
+    k4 = realize(clique(4))
+    assert find_induced_subgraph(k444, k4) is None
+    with pytest.raises(BudgetExhausted):
+        find_induced_subgraph(k444, k4, budget=1)
+    # one node per placement: the first copy of P3 in C5 takes three
+    assert find_induced_subgraph(C5, realize(path(3)), budget=3) is not None
+    with pytest.raises(BudgetExhausted):
+        find_induced_subgraph(C5, realize(path(3)), budget=2)
+    # is_free shares one counter among its searches: each fits the budget
+    # alone, both together do not
+    spent = []
+    for spec in (clique(4), path(4)):
+        counter = _Budget(10_000)
+        assert is_free(k444, [spec], counter)[0]
+        spent.append(10_000 - counter.left)
+    assert is_free(k444, [clique(4), path(4)], sum(spent))[0]
+    with pytest.raises(BudgetExhausted):
+        is_free(k444, [clique(4), path(4)], max(spent))
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,13 @@ class _Budget:
                 raise BudgetExhausted("budget exhausted")
 
 
-def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
-    """Largest clique size, by branch and bound with a greedy colouring bound."""
+def _max_clique(g: Graph, counter: _Budget) -> int:
+    """A maximum clique as a vertex mask (0 for the empty graph), by branch
+    and bound with a greedy colouring bound."""
     if g.n == 0:
         return 0
-    counter = _Budget.shared(budget)
     rows = g.rows
-    best = 1
+    best, best_set = 1, 1
 
     def greedy_color_order(cand: int) -> list[tuple[int, int]]:
         # order candidates by greedy colour class; the class index bounds
@@ -93,8 +93,8 @@ def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
                 rest &= ~(1 << v)
         return out
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    def expand(size: int, cand: int, chosen: int) -> None:
+        nonlocal best, best_set
         counter.spend()
         order = greedy_color_order(cand)
         for v, bound in reversed(order):
@@ -102,13 +102,18 @@ def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
                 return
             nxt = cand & rows[v]
             if size + 1 > best:
-                best = size + 1
+                best, best_set = size + 1, chosen | 1 << v
             if nxt:
-                expand(size + 1, nxt)
+                expand(size + 1, nxt, chosen | 1 << v)
             cand &= ~(1 << v)
 
-    expand(0, (1 << g.n) - 1)
-    return best
+    expand(0, (1 << g.n) - 1, 0)
+    return best_set
+
+
+def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
+    """Largest clique size, by branch and bound with a greedy colouring bound."""
+    return _max_clique(g, _Budget.shared(budget)).bit_count()
 
 
 def independence_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
@@ -224,15 +229,25 @@ def chromatic_number(
     then closed by the backtracking decision procedure.  The sub-searches
     share one budget.
     """
+    chi, col, _ = _chromatic(g, budget)
+    return chi, col
+
+
+def _chromatic(
+    g: Graph, budget: Optional[int | _Budget] = None
+) -> tuple[int, Coloring, int]:
+    """``chromatic_number``'s answer and the maximum clique, as a vertex
+    mask, whose size is its lower bound."""
     if g.n == 0:
-        return 0, Coloring(0, ())
+        return 0, Coloring(0, ()), 0
     budget = _Budget.shared(budget)
-    lower = clique_number(g, budget)
+    clique = _max_clique(g, budget)
+    lower = clique.bit_count()
     greedy = _dsatur_coloring(g)
     if greedy.palette_size == lower:
-        return lower, greedy
+        return lower, greedy, clique
     for k in range(lower, greedy.palette_size):
         col = is_k_colorable(g, k, budget)
         if col is not None:
-            return col.palette_size, col
-    return greedy.palette_size, greedy
+            return col.palette_size, col, clique
+    return greedy.palette_size, greedy, clique

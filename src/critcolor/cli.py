@@ -33,12 +33,23 @@ class _UsageError(Exception):
     pass
 
 
+def _node_budget(text: str) -> int:
+    """The type of ``--budget``: a node count, 0 included."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        nodes = -1
+    if nodes < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative node count, got {text!r}")
+    return nodes
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
 
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=None, metavar="NODES",
+    budget.add_argument("--budget", type=_node_budget, default=None, metavar="NODES",
                         help="abort exact searches after this many nodes")
 
     parser = argparse.ArgumentParser(prog="critcolor")
@@ -182,6 +193,8 @@ def _cmd_certify(args, g: Graph, db: critical.CriticalDb):
 
 def _run_enumerate(args) -> tuple[int, dict, list[str]]:
     filters = [parse_pattern(t) for t in args.free]
+    if args.db and args.critical is None:
+        raise _UsageError("--db writes a critical-graph database and needs --critical K")
     if args.critical is not None:
         db = enumeration.enumerate_critical(args.critical, args.n, filters)
         texts = list(db.members)  # critical members are connected already

@@ -26,10 +26,12 @@ from .graphs import (
     delete_vertex,
     induced_subgraph,
     is_independent,
+    iter_bits,
     mask_of,
     mixed_vertices,
     parse_graph6,
     to_graph6,
+    without_vertex,
 )
 from .patterns import (
     Embedding,
@@ -57,33 +59,82 @@ class CritReport:
 
 
 def criticality_report(g: Graph, k: int, budget: Optional[int] = None) -> CritReport:
-    """The report of g against k.  ``budget`` caps the search nodes of all
-    n + 1 chromatic-number searches together."""
+    """The report of g against k.
+
+    One chromatic-number search gives chi, a chi-colouring and a maximum
+    clique; each per-vertex chromatic number, chi - 1 or chi, is then
+    decided by ``_keeps_chi``, often with no search at all.  ``budget``
+    caps the search nodes of the whole report together.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     counter = chroma._Budget(budget)
-    chi, _ = chroma.chromatic_number(g, counter)
+    chi, col, clique = chroma._chromatic(g, counter)
+    classes = [mask_of(c) for c in col.classes()]
     per_vertex = tuple(
-        chroma.chromatic_number(delete_vertex(g, v), counter)[0] for v in range(g.n)
+        chi if _keeps_chi(g, v, chi, classes, clique, counter) else chi - 1
+        for v in range(g.n)
     )
     verdict = chi == k and all(c == k - 1 for c in per_vertex)
     return CritReport(k, chi, per_vertex, verdict)
 
 
+def _keeps_chi(
+    g: Graph, v: int, chi: int, classes: list[int], clique: int, counter: chroma._Budget
+) -> bool:
+    """Whether chi(g - v) = chi rather than chi - 1, given chi = chi(g) > 0,
+    the colour classes of a chi-colouring of g and a clique of g (masks).
+
+    A chi-clique that misses v says chi with no search; so does, for chi - 1,
+    moving every other vertex of v's class greedily into another class.
+    Else a chi-clique in g - v says chi, a DSATUR colouring of g - v with
+    fewer than chi colours says chi - 1, and one (chi - 1)-colourability
+    search decides.
+    """
+    big_clique = clique.bit_count() == chi
+    if big_clique and not clique >> v & 1:
+        return True
+    own = next(c for c in classes if c >> v & 1)
+    others = [c for c in classes if c != own]
+    for u in iter_bits(own & ~(1 << v)):
+        slot = next((i for i, c in enumerate(others) if not g.rows[u] & c), None)
+        if slot is None:
+            break
+        others[slot] |= 1 << u
+    else:
+        return False
+    rest = delete_vertex(g, v)
+    if big_clique and chroma.clique_number(rest, counter) == chi:
+        return True
+    if chroma._dsatur_coloring(rest).palette_size < chi:
+        return False
+    return chroma.is_k_colorable(rest, chi - 1, counter) is None
+
+
 def _extract_with_kept(
     g: Graph, k: int, budget: Optional[chroma._Budget] = None
 ) -> tuple[Graph, tuple[int, ...]]:
-    chi, _ = chroma.chromatic_number(g, budget)
+    """Delete the least-indexed vertex whose deletion keeps chi >= k while
+    there is one.  While chi > k every deletion qualifies; at chi = k,
+    ``_keeps_chi`` decides, and the colouring and clique carry over."""
+    counter = chroma._Budget.shared(budget)
+    chi, col, clique = chroma._chromatic(g, counter)
     if chi < k:
         raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
+    classes = [mask_of(c) for c in col.classes()]
     kept = list(range(g.n))
     current = g
     while True:
         for i in range(current.n):
-            smaller = delete_vertex(current, i)
-            if chroma.chromatic_number(smaller, budget)[0] >= k:
+            if chi > k or _keeps_chi(current, i, chi, classes, clique, counter):
                 del kept[i]
-                current = smaller
+                current = delete_vertex(current, i)
+                if chi > k:
+                    chi, col, clique = chroma._chromatic(current, counter)
+                    classes = [mask_of(c) for c in col.classes()]
+                else:
+                    classes = [without_vertex(c, i) for c in classes]
+                    clique = without_vertex(clique, i)
                 break
         else:
             return current, tuple(kept)

@@ -63,6 +63,7 @@ from .graphs import (
     is_connected,
     iter_bits,
     parse_graph6,
+    without_vertex,
 )
 from .patterns import PatternSpec, _induced_copies, find_induced_subgraph, realize
 
@@ -236,8 +237,7 @@ def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph,
         for rep in _orbit_reps(f.n, _canonical_labeling(f)[1]):
             if rep.bit_count() == 1:
                 p = rep.bit_length() - 1
-                row = f.rows[p]
-                out.append((delete_vertex(f, p), row & (rep - 1) | row >> 1 & ~(rep - 1)))
+                out.append((delete_vertex(f, p), without_vertex(f.rows[p], p)))
     return out
 
 

@@ -305,6 +305,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(rows))
 
 
+def without_vertex(mask: int, v: int) -> int:
+    """A vertex mask renumbered for the graph minus vertex v: bit v is
+    dropped and the bits above it move down by one."""
+    low = (1 << v) - 1
+    return mask & low | mask >> 1 & ~low
+
+
 def delete_vertex(g: Graph, v: int) -> Graph:
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
 

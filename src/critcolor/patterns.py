@@ -181,17 +181,33 @@ def embedding_is_induced(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     return True
 
 
+# The image of a pattern vertex is a non-neighbour, a neighbour, or (in
+# first-copy searches) a higher-indexed vertex than that of an earlier one.
+_NONADJACENT, _ADJACENT, _ABOVE = 0, 1, 2
+
+
 @lru_cache(maxsize=None)
-def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...], tuple[int, ...]]:
+def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple, tuple, tuple[int, ...]]:
     """Fix the vertex-pairing order (highest degree first) and precompute,
-    for each pattern vertex, its adjacency to the vertices placed earlier."""
+    for each position in it, the constraints on its image as ``(earlier
+    position, kind)`` pairs: adjacency to every earlier position, and for
+    first-copy searches also ``_ABOVE`` the last earlier position holding a
+    twin (the same neighbours apart from each other).  Also the degrees."""
     order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)))
-    earlier = tuple(
-        tuple((j, pattern.has_edge(p, order[j])) for j in range(i))
+    rows = pattern.rows
+    every = tuple(
+        tuple((j, _ADJACENT if rows[p] >> order[j] & 1 else _NONADJACENT) for j in range(i))
         for i, p in enumerate(order)
     )
+    first = tuple(
+        steps + tuple(
+            (j, _ABOVE) for j in reversed(range(i))
+            if rows[p] & ~(1 << order[j]) == rows[order[j]] & ~(1 << p)
+        )[:1]
+        for i, (p, steps) in enumerate(zip(order, every))
+    )
     degs = tuple(pattern.degree(v) for v in order)
-    return order, earlier, degs
+    return order, every, first, degs
 
 
 def _induced_copies(
@@ -202,16 +218,30 @@ def _induced_copies(
     ``first``, only the first one.
 
     Pattern vertices are paired off highest degree first and host candidates
-    tried in ascending index, so copies come in a fixed order.  Each
-    placement of a pattern vertex spends one node of the budget.
+    tried in ascending index, so copies come in a fixed order: ascending
+    lexicographically in the images taken in pairing order.  Each placement
+    of a pattern vertex spends one node of the budget.
+
+    With ``first``, a pattern vertex must also sit above the image of the
+    last earlier twin of it.  Swapping the images of two twins gives another
+    induced copy, smaller in that order when the earlier twin's image is the
+    larger; so the least copy, which is the first one, meets every such
+    constraint and is still found, while the reorderings of interchangeable
+    pattern vertices (k! for a clique K_k, l! for l isolated vertices) are
+    not tried.  Listing every copy needs them all and skips the constraint.
     """
     if pattern.n > host.n:
         return []
     if pattern.n == 0:
         return [()]
-    order, earlier_adj, pat_deg = _compile_pattern(pattern)
-    counter = _Budget.capped(budget)
+    order, every, first_steps, pat_deg = _compile_pattern(pattern)
     rows = host.rows
+    co_rows = [~r for r in rows]
+    if first:
+        steps, masks = first_steps, (co_rows, rows, [-(2 << h) for h in range(host.n)])
+    else:
+        steps, masks = every, (co_rows, rows)
+    counter = _Budget.capped(budget)
     host_full = (1 << host.n) - 1
     last = pattern.n - 1
     images = [0] * pattern.n
@@ -221,11 +251,8 @@ def _induced_copies(
     def place(i: int) -> bool:
         nonlocal used
         cand = host_full & ~used
-        for j, adjacent in earlier_adj[i]:
-            if adjacent:
-                cand &= rows[images[j]]
-            else:
-                cand &= ~rows[images[j]]
+        for j, kind in steps[i]:
+            cand &= masks[kind][images[j]]
         need = pat_deg[i]
         while cand:
             low = cand & -cand
@@ -263,7 +290,10 @@ def find_induced_subgraph(
 
     Pattern vertices are paired off highest degree first and host candidates
     tried in ascending index, so the embedding returned is the least one
-    under that fixed order.  The result is re-checked before it is returned.
+    under that fixed order.  Twins of the pattern are placed in ascending
+    host order only, which skips their reorderings but never the least
+    embedding (see ``_induced_copies``).  The result is re-checked before it
+    is returned.
     ``budget`` caps the placements tried, as a node count or a counter
     shared with other searches.
     """

@@ -114,6 +114,21 @@ def test_budget_flag(capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", C5],
+    ["critical", "--k", "3", C5],
+    ["certify", "--k", "2", "--db", "absent.critdb", C5],
+])
+def test_negative_budget_is_a_usage_error(argv, capsys):
+    assert run([*argv[:-1], "--budget", "-3", argv[-1]]) == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and "nonnegative" in err and "budget exhausted" not in err
+    # a zero budget is a cap like any other
+    if argv[0] != "certify":
+        assert run([*argv[:-1], "--budget", "0", argv[-1]]) == 2
+        assert "budget exhausted" in capsys.readouterr().err
+
+
 def test_critical_budget_flag_aborts(capsys):
     assert run(["critical", "--budget", "1", "--k", "4", "Fb]lg"]) == 2
     assert "budget exhausted" in capsys.readouterr().err
@@ -155,6 +170,14 @@ def test_enumerate_streams_graph6(capsys):
     from critcolor.graphs import parse_graph6
     for line in capsys.readouterr().out.strip().splitlines():
         assert parse_graph6(line).n == 4
+
+
+def test_enumerate_db_needs_critical(tmp_path, capsys):
+    target = tmp_path / "x.db"
+    assert run(["enumerate", "--n", "3", "--db", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "--db" in captured.err and "--critical" in captured.err
+    assert captured.out == "" and not target.exists()
 
 
 def test_enumerate_critical_writes_db(tmp_path, capsys):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critcolor import chroma
 from critcolor.chroma import Coloring, chromatic_number, is_k_colorable, is_proper_coloring
-from critcolor.enumeration import enumerate_graphs
+from critcolor.enumeration import enumerate_graphs, enumerate_up_to
 from critcolor.critical import (
+    _extract_with_kept,
     CriticalDb,
     CriticalWitness,
     antichain_check,
@@ -25,6 +27,7 @@ from critcolor.critical import (
 from critcolor.graphs import (
     bits_of,
     complete_graph,
+    delete_vertex,
     disjoint_union,
     empty_graph,
     from_edges,
@@ -41,7 +44,7 @@ from critcolor.patterns import (
 )
 
 from conftest import graphs
-from oracles import naive_is_isomorphic, naive_is_k_colorable
+from oracles import naive_chromatic, naive_is_isomorphic, naive_is_k_colorable
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -70,6 +73,61 @@ def test_report_fails_when_some_deletion_keeps_chi():
     rep = criticality_report(g, 3)
     assert rep.chi == 3 and not rep.verdict
     assert rep.per_vertex[5] == 3
+
+
+def _assert_report_matches_oracle(g, k):
+    rep = criticality_report(g, k)
+    chi = naive_chromatic(g)
+    per_vertex = tuple(naive_chromatic(delete_vertex(g, v)) for v in range(g.n))
+    assert (rep.k, rep.chi, rep.per_vertex) == (k, chi, per_vertex)
+    assert rep.verdict == (chi == k and all(c == k - 1 for c in per_vertex))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.integers(min_value=-1, max_value=1))
+def test_report_agrees_with_the_oracle(g, shift):
+    # k in {chi - 1, chi, chi + 1}: the per-vertex window shortcuts must not
+    # depend on k
+    _assert_report_matches_oracle(g, max(1, naive_chromatic(g) + shift))
+
+
+def test_report_agrees_with_the_oracle_on_every_small_graph():
+    for g in enumerate_up_to(6):
+        _assert_report_matches_oracle(g, max(1, naive_chromatic(g)))
+
+
+def test_report_runs_one_chromatic_number_search(petersen, monkeypatch):
+    # chromatic_number delegates to chroma._chromatic, so this counts every
+    # full chromatic-number search; each deletion is decided inside the
+    # window {chi - 1, chi} instead
+    calls = []
+    real = chroma._chromatic
+    monkeypatch.setattr(chroma, "_chromatic", lambda *a: calls.append(a) or real(*a))
+    rep = criticality_report(petersen, 3)
+    assert rep.chi == 3 and rep.per_vertex == (3,) * 10 and not rep.verdict
+    assert len(calls) == 1
+
+
+def _extract_by_full_searches(g, k):
+    """The extraction rule with one full chromatic-number search per try."""
+    kept = list(range(g.n))
+    current = g
+    while True:
+        for i in range(current.n):
+            smaller = delete_vertex(current, i)
+            if chromatic_number(smaller)[0] >= k:
+                del kept[i]
+                current = smaller
+                break
+        else:
+            return current, tuple(kept)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8, min_n=1), st.integers(min_value=0, max_value=3))
+def test_extraction_keeps_the_full_search_rule(g, drop):
+    k = max(1, chromatic_number(g)[0] - drop)
+    assert _extract_with_kept(g, k) == _extract_by_full_searches(g, k)
 
 
 def test_extract_critical_subgraph():

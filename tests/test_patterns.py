@@ -243,9 +243,11 @@ def test_exhaustive_small_hosts_against_brute_force():
                     assert embedding_is_induced(host, pat, got)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(graphs(max_n=6), st.sampled_from(
-    [path(1), path(3), path(4), clique(3), TWO_P2, plus_isolated(path(3), 1), CHAIR]))
+    [path(1), path(3), path(4), clique(3), TWO_P2, plus_isolated(path(3), 1), CHAIR,
+     # twin-rich: the first copy is searched with twins in ascending order
+     clique(4), star(3), cycle(4), plus_isolated(path(4), 2), parse_pattern("3P1")]))
 def test_induced_copies_are_every_induced_embedding(host, spec):
     pattern = realize(spec)
     copies = _induced_copies(host, pattern)
@@ -269,6 +271,9 @@ def test_pattern_search_spends_its_budget():
     assert find_induced_subgraph(k444, k4) is None
     with pytest.raises(BudgetExhausted):
         find_induced_subgraph(k444, k4, budget=1)
+    # twins go in ascending order: 12 + 48 + 64 placements of K1, K2, K3;
+    # trying every ordering of them would take 492
+    assert find_induced_subgraph(k444, k4, budget=124) is None
     # one node per placement: the first copy of P3 in C5 takes three
     assert find_induced_subgraph(C5, realize(path(3)), budget=3) is not None
     with pytest.raises(BudgetExhausted):

@@ -126,10 +126,12 @@ def is_k_colorable(
 ) -> Optional[Coloring]:
     """A proper colouring with at most k colours, or None.
 
-    Backtracking: branch on the uncoloured vertex with the fewest feasible
-    colours (ties: higher degree, then lower index); colours are tried in
-    ascending order and a fresh colour is only opened once, so colour classes
-    appear in first-use order and the result is deterministic.
+    Backtracking in DSATUR order (Brélaz 1979): branch on the uncoloured
+    vertex whose neighbours use the most distinct colours (ties: higher
+    degree, then lower index) and try its free colours in ascending order, a
+    fresh colour last and only while fewer than k are open.  Colour classes
+    appear in first-use order and the result is deterministic.  With k >= n
+    the search never backtracks: its one descent is the DSATUR greedy.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -140,51 +142,41 @@ def is_k_colorable(
     counter = _Budget.shared(budget)
     rows = g.rows
     n = g.n
-    degs = [g.degree(v) for v in range(n)]
+    k = min(k, n)  # a colouring never opens more colours than vertices
+    order = sorted(range(n), key=lambda v: -rows[v].bit_count())
     colour_of = [0] * n
     class_masks = [0] * (k + 1)  # 1-based
+    seen = [0] * n  # bit c of seen[v]: a neighbour of v has colour c
     used = 0
-
-    def pick() -> Optional[tuple[int, list[int]]]:
-        best_v = -1
-        best_feas: list[int] = []
-        best_key = None
-        for v in range(n):
-            if colour_of[v]:
-                continue
-            feas = [c for c in range(1, used + 1) if not class_masks[c] & rows[v]]
-            room = len(feas) + (1 if used < k else 0)
-            key = (room, -degs[v], v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-                best_feas = feas
-                if room == 0:
-                    break
-        if best_v < 0:
-            return None
-        return best_v, best_feas
 
     def solve() -> bool:
         nonlocal used
         counter.spend()
-        picked = pick()
-        if picked is None:
+        v = sat = -1
+        for u in order:
+            if not colour_of[u] and seen[u].bit_count() > sat:
+                v, sat = u, seen[u].bit_count()
+        if v < 0:
             return True
-        v, feas = picked
+        free = ~seen[v] & ((2 << used) - 2)  # open colours no neighbour has
         if used < k:
-            feas = feas + [used + 1]
-        for c in feas:
-            fresh = c == used + 1
+            free |= 2 << used
+        for c in iter_bits(free):
+            fresh = c > used
             colour_of[v] = c
             class_masks[c] |= 1 << v
+            for u in iter_bits(rows[v]):
+                seen[u] |= 1 << c
             if fresh:
                 used += 1
             if solve():
                 return True
             if fresh:
                 used -= 1
-            class_masks[c] &= ~(1 << v)
+            class_masks[c] ^= 1 << v
+            for u in iter_bits(rows[v]):
+                if not rows[u] & class_masks[c]:
+                    seen[u] &= ~(1 << c)
             colour_of[v] = 0
         return False
 
@@ -193,41 +185,14 @@ def is_k_colorable(
     return Coloring(used, tuple(colour_of))
 
 
-def _dsatur_coloring(g: Graph) -> Coloring:
-    """Greedy upper bound: highest saturation first, least feasible colour."""
-    n = g.n
-    rows = g.rows
-    colour_of = [0] * n
-    neighbour_colours: list[set[int]] = [set() for _ in range(n)]
-    degs = [g.degree(v) for v in range(n)]
-    used = 0
-    for _ in range(n):
-        # most saturated, then highest degree, then lowest index
-        v = best_sat = best_deg = -1
-        for u in range(n):
-            if colour_of[u]:
-                continue
-            sat = len(neighbour_colours[u])
-            if sat > best_sat or sat == best_sat and degs[u] > best_deg:
-                v, best_sat, best_deg = u, sat, degs[u]
-        c = 1
-        while c in neighbour_colours[v]:
-            c += 1
-        colour_of[v] = c
-        used = max(used, c)
-        for u in iter_bits(rows[v]):
-            neighbour_colours[u].add(c)
-    return Coloring(used, tuple(colour_of))
-
-
 def chromatic_number(
     g: Graph, budget: Optional[int | _Budget] = None
 ) -> tuple[int, Coloring]:
     """Exact chromatic number with a witness colouring.
 
-    Seeded below by the clique number and above by a saturation greedy run,
-    then closed by the backtracking decision procedure.  The sub-searches
-    share one budget.
+    Seeded below by the clique number and above by the DSATUR greedy (the
+    decision search with k = n, which spends no budget), then closed by the
+    backtracking decision search.  The other sub-searches share one budget.
     """
     chi, col, _ = _chromatic(g, budget)
     return chi, col
@@ -243,7 +208,7 @@ def _chromatic(
     budget = _Budget.shared(budget)
     clique = _max_clique(g, budget)
     lower = clique.bit_count()
-    greedy = _dsatur_coloring(g)
+    greedy = is_k_colorable(g, g.n)
     if greedy.palette_size == lower:
         return lower, greedy, clique
     for k in range(lower, greedy.palette_size):

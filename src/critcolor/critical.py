@@ -106,7 +106,7 @@ def _keeps_chi(
     rest = delete_vertex(g, v)
     if big_clique and chroma.clique_number(rest, counter) == chi:
         return True
-    if chroma._dsatur_coloring(rest).palette_size < chi:
+    if chroma.is_k_colorable(rest, rest.n).palette_size < chi:
         return False
     return chroma.is_k_colorable(rest, chi - 1, counter) is None
 

@@ -10,7 +10,7 @@ scale (a few hundred vertices at most, usually ten).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_VERTEX_CAP = 512
 
@@ -104,7 +104,7 @@ def complete_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _parse_n(data: bytes, cap: int) -> tuple[int, int]:
+def _parse_n(data: bytes) -> tuple[int, int]:
     """Decode the leading vertex count; return (n, bytes consumed)."""
     if not data:
         raise Graph6Error("empty graph6 string", 0)
@@ -136,7 +136,7 @@ def parse_graph6(text: str | bytes, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     data = data.rstrip(b"\n")
-    n, start = _parse_n(data, cap)
+    n, start = _parse_n(data)
     if n > cap:
         raise Graph6Error(f"vertex count {n} exceeds cap {cap}", 0)
     nbits = n * (n - 1) // 2
@@ -185,11 +185,20 @@ def _encode_graph6(n: int, bits: int) -> str:
     return head + bytes([63 + (bits >> s & 63) for s in range(nbits + pad - 6, -1, -6)]).decode()
 
 
+def _adjacency_bits(rows: tuple[int, ...], label: Sequence[int]) -> int:
+    """The upper-triangle bit-string of the graph on the vertices ``label``
+    (in that order), as ``_encode_graph6`` reads it."""
+    bits = 0
+    for v in range(1, len(label)):
+        rv = rows[label[v]]
+        for u in range(v):
+            bits = bits << 1 | (rv >> label[u] & 1)
+    return bits
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as graph6 (short vertex-count form whenever n <= 62)."""
-    # column v holds the pairs (0,v) .. (v-1,v), lowest u first
-    column = "".join(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
-    return _encode_graph6(g.n, int(column or "0", 2))
+    return _encode_graph6(g.n, _adjacency_bits(g.rows, range(g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,9 @@ def without_vertex(mask: int, v: int) -> int:
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, [u for u in range(g.n) if u != v])
+    if not 0 <= v < g.n:
+        raise ValueError("vertex outside graph")
+    return Graph(g.n - 1, tuple(without_vertex(row, v) for u, row in enumerate(g.rows) if u != v))
 
 
 def complement(g: Graph) -> Graph:

@@ -1,10 +1,13 @@
+import tracemalloc
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings
 
 from critcolor.chroma import (
     BudgetExhausted,
     Coloring,
-    _dsatur_coloring,
+    _Budget,
     chromatic_number,
     clique_number,
     independence_number,
@@ -162,7 +165,7 @@ GROTZSCH = from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 @pytest.mark.parametrize("g", [C5, GROTZSCH])
 def test_chromatic_number_sub_searches_share_one_budget(g):
     chi = chromatic_number(g)[0]
-    lower, greedy = clique_number(g), _dsatur_coloring(g).palette_size
+    lower, greedy = clique_number(g), is_k_colorable(g, g.n).palette_size
     assert lower < greedy  # so at least one decision search runs
     each = [least_budget(lambda b: clique_number(g, b))]
     each += [least_budget(lambda b, k=k: is_k_colorable(g, k, b))
@@ -198,7 +201,109 @@ def reference_dsatur(g: Graph) -> Coloring:
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=11))
 def test_dsatur_picks_like_the_reference_rule(g):
-    assert _dsatur_coloring(g) == reference_dsatur(g)
+    assert is_k_colorable(g, g.n) == reference_dsatur(g)
+
+
+def reference_is_k_colorable(g: Graph, k: int, budget=None) -> Optional[Coloring]:
+    """The decision search as first written: every node rebuilds each
+    uncoloured vertex's feasible colours to pick where to branch."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if g.n == 0:
+        return Coloring(0, ())
+    if k == 0:
+        return None
+    counter = _Budget.shared(budget)
+    rows = g.rows
+    n = g.n
+    degs = [g.degree(v) for v in range(n)]
+    colour_of = [0] * n
+    class_masks = [0] * (k + 1)  # 1-based
+    used = 0
+
+    def pick() -> Optional[tuple[int, list[int]]]:
+        best_v = -1
+        best_feas: list[int] = []
+        best_key = None
+        for v in range(n):
+            if colour_of[v]:
+                continue
+            feas = [c for c in range(1, used + 1) if not class_masks[c] & rows[v]]
+            room = len(feas) + (1 if used < k else 0)
+            key = (room, -degs[v], v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_v = v
+                best_feas = feas
+                if room == 0:
+                    break
+        if best_v < 0:
+            return None
+        return best_v, best_feas
+
+    def solve() -> bool:
+        nonlocal used
+        counter.spend()
+        picked = pick()
+        if picked is None:
+            return True
+        v, feas = picked
+        if used < k:
+            feas = feas + [used + 1]
+        for c in feas:
+            fresh = c == used + 1
+            colour_of[v] = c
+            class_masks[c] |= 1 << v
+            if fresh:
+                used += 1
+            if solve():
+                return True
+            if fresh:
+                used -= 1
+            class_masks[c] &= ~(1 << v)
+            colour_of[v] = 0
+        return False
+
+    if not solve():
+        return None
+    return Coloring(used, tuple(colour_of))
+
+
+def nodes_spent(search) -> int:
+    """The nodes ``search(budget)`` spends when nothing caps it; that is
+    also the least budget with which it completes."""
+    counter = _Budget(10**9)
+    search(counter)
+    return 10**9 - counter.left
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=11))
+def test_decision_search_matches_the_reference_search(g):
+    for k in range(g.n + 2):
+        spent = nodes_spent(lambda b: reference_is_k_colorable(g, k, b))
+        assert is_k_colorable(g, k) == reference_is_k_colorable(g, k)
+        assert nodes_spent(lambda b: is_k_colorable(g, k, b)) == spent
+        if spent:
+            with pytest.raises(BudgetExhausted):
+                is_k_colorable(g, k, spent - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=11, min_n=1))
+def test_enough_colours_colour_without_backtracking(g):
+    assert least_budget(lambda b: is_k_colorable(g, g.n, b)) == g.n + 1
+
+
+def test_a_huge_k_allocates_by_the_order_of_the_graph():
+    tracemalloc.start()
+    try:
+        col = is_k_colorable(C5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert col is not None and col.palette_size == 3 and is_proper_coloring(C5, col)
 
 
 def test_coloring_classes():

@@ -227,6 +227,15 @@ def test_delete_vertex():
     g = delete_vertex(C5, 2)
     assert g.n == 4
     assert sorted(g.edges()) == [(0, 1), (0, 3), (2, 3)]
+    for v in (99, 5, -1):
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            delete_vertex(C5, v)
+
+
+@given(graphs(max_n=9, min_n=1))
+def test_delete_vertex_is_the_induced_subgraph_on_the_rest(g):
+    for v in range(g.n):
+        assert delete_vertex(g, v) == induced_subgraph(g, set(range(g.n)) - {v})
 
 
 @given(graphs(max_n=9))

@@ -85,18 +85,15 @@ def realize_cotree(t: Cotree) -> Graph:
         if isinstance(node, Leaf):
             return 1 << node.vertex
         masks = [walk(c) for c in node.children]
+        total = 0
+        for m in masks:
+            total |= m
         if isinstance(node, JoinNode):
-            total = 0
-            for m in masks:
-                total |= m
             for m in masks:
                 others = total & ~m
                 for v in iter_bits(m):
                     rows[v] |= others
-        acc = 0
-        for m in masks:
-            acc |= m
-        return acc
+        return total
 
     walk(t)
     return Graph(n, tuple(rows))
@@ -123,36 +120,40 @@ def _find_twins(g: Graph, active: list[int], amask: int) -> Optional[tuple[bool,
     return None
 
 
-def _union_merge(a: Cotree, b: Cotree) -> Cotree:
-    left = a.children if isinstance(a, UnionNode) else (a,)
-    right = b.children if isinstance(b, UnionNode) else (b,)
-    return UnionNode(left + right)
-
-
-def _join_merge(a: Cotree, b: Cotree) -> Cotree:
-    left = a.children if isinstance(a, JoinNode) else (a,)
-    right = b.children if isinstance(b, JoinNode) else (b,)
-    return JoinNode(left + right)
-
-
-def recognize(g: Graph) -> Optional[Cotree]:
-    """A cotree for g, or None if g has an induced four-vertex path."""
+def _eliminations(g: Graph) -> Optional[list[tuple[bool, int, int]]]:
+    """The twin elimination: the first twin pair (u, v) of the active
+    vertices, as ``_find_twins`` returns it, drops v, until one vertex is
+    left.  The steps in order, or None if it stalls on an induced P4."""
     if g.n == 0:
         raise ValueError("the empty graph has no cotree")
-    trees: dict[int, Cotree] = {v: Leaf(v) for v in range(g.n)}
+    steps = []
     active = list(range(g.n))
     amask = (1 << g.n) - 1
     while len(active) > 1:
         hit = _find_twins(g, active, amask)
         if hit is None:
             return None
-        false_twin, u, v = hit
-        merge = _union_merge if false_twin else _join_merge
-        trees[u] = merge(trees[u], trees[v])
-        del trees[v]
-        active.remove(v)
-        amask &= ~(1 << v)
-    return trees[active[0]]
+        steps.append(hit)
+        active.remove(hit[2])
+        amask &= ~(1 << hit[2])
+    return steps
+
+
+def _merge(node_type: type, a: Cotree, b: Cotree) -> Cotree:
+    left = a.children if isinstance(a, node_type) else (a,)
+    right = b.children if isinstance(b, node_type) else (b,)
+    return node_type(left + right)
+
+
+def recognize(g: Graph) -> Optional[Cotree]:
+    """A cotree for g, or None if g has an induced four-vertex path."""
+    steps = _eliminations(g)
+    if steps is None:
+        return None
+    trees: dict[int, Cotree] = {v: Leaf(v) for v in range(g.n)}
+    for false_twin, u, v in steps:
+        trees[u] = _merge(UnionNode if false_twin else JoinNode, trees[u], trees.pop(v))
+    return trees.popitem()[1]
 
 
 def cograph_color(t: Cotree) -> Coloring:
@@ -216,30 +217,15 @@ def find_anticomplete_pair(g: Graph) -> AnticompletePair:
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
-    if recognize(g) is None:
+    steps = _eliminations(g)
+    if steps is None:
         raise NotCographError("graph has an induced four-vertex path")
     if g.edge_count() == g.n * (g.n - 1) // 2:
         raise CompleteGraphError("complete graphs admit no anticomplete pair")
 
-    active = list(range(g.n))
-    amask = (1 << g.n) - 1
-    eliminated: list[tuple[int, int]] = []  # (dropped true twin, kept partner)
-    x: set[int] = set()
-    y: set[int] = set()
-    while True:
-        hit = _find_twins(g, active, amask)
-        if hit is None:  # pragma: no cover - impossible on this domain
-            raise AssertionError("twin elimination stalled")
-        false_twin, u, v = hit
-        if false_twin:
-            x = {u}
-            y = {v}
-            break
-        eliminated.append((v, u))
-        active.remove(v)
-        amask &= ~(1 << v)
-    while eliminated:
-        v, u = eliminated.pop()
+    first = next(i for i, (false_twin, _, _) in enumerate(steps) if false_twin)
+    x, y = {steps[first][1]}, {steps[first][2]}
+    for _, u, v in reversed(steps[:first]):
         if u in x:
             x.add(v)
         elif u in y:

@@ -22,7 +22,7 @@ from typing import Optional
 from .chroma import Coloring, is_proper_coloring
 from .cograph import cograph_color, recognize
 from .graphs import Graph, induced_subgraph, iter_bits, mask_of
-from .patterns import PatternViolation, clique, is_free, path, plus_isolated
+from .patterns import PatternViolation, clique, format_pattern, is_free, path, plus_isolated
 
 
 def bound_f(k: int, ell: int) -> int:
@@ -129,7 +129,8 @@ def color_k3_free(g: Graph, ell: int, check: bool = True) -> Coloring:
 def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
     """Colour a (P4+ell*P1, K_k)-free graph with at most bound_f(k, ell)
     colours.  The family membership is verified up front unless check is
-    False; the properness of the result is always verified."""
+    False; the properness of the result is always verified, and without
+    the check an improper result means g is outside the family."""
     if k < 3:
         raise ValueError(f"clique parameter must be at least 3, got {k}")
     if ell < 0:
@@ -139,6 +140,9 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
         if not ok:
             raise PatternViolation(hit[0], hit[1])
     col = _compact(_color_bounded(g, ell, k))
-    if not is_proper_coloring(g, col):  # pragma: no cover - guards the maths
-        raise AssertionError("constructive colouring came out improper")
+    if not is_proper_coloring(g, col):
+        if check:  # pragma: no cover - guards the maths
+            raise AssertionError("constructive colouring came out improper")
+        names = ", ".join(format_pattern(p) for p in _family(ell, k))
+        raise ValueError(f"graph is not ({names})-free: its constructive colouring is improper")
     return col

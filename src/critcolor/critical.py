@@ -13,6 +13,7 @@ recoloured inside Y's palette, so the graph could not have been critical).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Union as TUnion
@@ -22,6 +23,7 @@ from .chroma import Coloring
 from .graphs import (
     Graph,
     Graph6Error,
+    _check_vertices,
     bits_of,
     delete_vertex,
     induced_subgraph,
@@ -161,20 +163,6 @@ def find_comparable_nonadjacent(g: Graph) -> Optional[tuple[int, int]]:
     return None
 
 
-def _subsets_lex(n: int, max_size: int) -> Iterable[tuple[int, ...]]:
-    """Nonempty subsets of 0..n-1 up to max_size, as sorted tuples in
-    lexicographic order: (0), (0,1), (0,1,2), ..., (0,2), ..., (1), ..."""
-
-    def rec(prefix: tuple[int, ...], start: int):
-        for v in range(start, n):
-            ext = prefix + (v,)
-            yield ext
-            if len(ext) < max_size:
-                yield from rec(ext, v + 1)
-
-    yield from rec((), 0)
-
-
 def find_lemma_xy_violation(
     g: Graph, size_cap: int
 ) -> Optional[tuple[frozenset[int], frozenset[int]]]:
@@ -184,7 +172,7 @@ def find_lemma_xy_violation(
     no such pair exists (as must happen on every vertex-critical graph)."""
     if size_cap < 1:
         raise ValueError("size_cap must be at least 1")
-    xs_all = list(_subsets_lex(g.n, size_cap))
+    xs_all = sorted(c for size in range(1, size_cap + 1) for c in combinations(range(g.n), size))
     for total in range(2, 2 * size_cap + 1):
         for xs in xs_all:
             sy = total - len(xs)
@@ -229,8 +217,6 @@ def mixed_trace_partition(
     S must be a nonempty independent set.
     """
     s_list = sorted(set(s))
-    if not s_list:
-        raise ValueError("S must be nonempty")
     if not is_independent(g, s_list):
         raise ValueError("S must be independent")
     smask = mask_of(s_list)
@@ -249,9 +235,7 @@ def antichain_check(g: Graph, s: Iterable[int], u: Iterable[int]) -> bool:
     s_list = sorted(set(s))
     if not is_independent(g, s_list):
         raise ValueError("S must be independent")
-    umask = mask_of(u)
-    if umask & ~((1 << g.n) - 1):
-        raise ValueError("vertex outside graph")
+    umask = _check_vertices(g, u)
     traces = [g.rows[v] & umask for v in s_list]
     for i, ti in enumerate(traces):
         for j, tj in enumerate(traces):
@@ -276,7 +260,17 @@ class CriticalDb:
 
 
 def write_critdb(db: CriticalDb) -> str:
-    header = f"#critdb k={db.k} family={','.join(format_pattern(p) for p in db.family)}"
+    """The file text of a database.  Raises ValueError for a family member
+    whose pattern text does not parse back to it, which no file could load."""
+    names = [format_pattern(p) for p in db.family]
+    for spec, name in zip(db.family, names):
+        try:
+            reads_back = parse_pattern(name) == spec
+        except ValueError:
+            reads_back = False
+        if not reads_back:
+            raise ValueError(f"family member {name} has no pattern text that parses back to it")
+    header = f"#critdb k={db.k} family={','.join(names)}"
     return "\n".join([header, *db.members]) + "\n"
 
 
@@ -295,7 +289,8 @@ def parse_critdb(text: str) -> CriticalDb:
     if k < 1:
         raise ValueError(f"line {at}: k must be at least 1, got {k}")
     try:
-        family = tuple(parse_pattern(t) for t in fields["family"].split(",") if t)
+        # commas inside parentheses belong to a pattern, as in broom(3,2)
+        family = tuple(parse_pattern(t) for t in re.split(r",(?![^(]*\))", fields["family"]) if t)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from exc
     members = []
@@ -309,7 +304,8 @@ def parse_critdb(text: str) -> CriticalDb:
 
 
 def load_critdb(path: str) -> CriticalDb:
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes reach the parser, which names their line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_critdb(fh.read())
 
 

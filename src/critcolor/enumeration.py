@@ -116,6 +116,20 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> 
             return cells
 
 
+def _orbit(v: int, gens: list[list[int]]) -> int:
+    """The orbit of vertex v under the group the vertex maps ``gens``
+    generate, as a mask."""
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for p in gens:
+            if not orbit >> p[u] & 1:
+                orbit |= 1 << p[u]
+                frontier.append(p[u])
+    return orbit
+
+
 def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
     """The least adjacency bit-string over all vertex orders compatible with
     the refined degree partition, and the automorphisms found on the way (as
@@ -131,25 +145,6 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
     best_bits: Optional[int] = None
     best_label: Optional[list[int]] = None
     gens: list[list[int]] = []  # discovered automorphisms, as orig -> orig maps
-
-    def same_orbit(a: int, b: int, fixed: list[int]) -> bool:
-        usable = [p for p in gens if all(p[f] == f for f in fixed)]
-        if not usable:
-            return False
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for p in usable:
-                    w = p[v]
-                    if w not in seen:
-                        if w == b:
-                            return True
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return False
 
     def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
         nonlocal best_bits, best_label
@@ -167,11 +162,12 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
                 if any(perm[v] != v for v in range(n)) and perm not in gens:
                     gens.append(perm)
             return
-        done: list[int] = []
+        done = 0
         for v in cells[target]:
-            if any(same_orbit(v, w, fixed) for w in done):
+            usable = [p for p in gens if all(p[f] == f for f in fixed)]
+            if _orbit(v, usable) & done:
                 continue
-            done.append(v)
+            done |= 1 << v
             rest = [u for u in cells[target] if u != v]
             child = cells[:target] + [[v], rest] + cells[target + 1:]
             child_stable = set(stable)
@@ -227,9 +223,9 @@ def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph,
     for f in filter_graphs:
         if f.n > n_max:
             continue
-        for rep in _orbit_reps(f.n, _canonical_labeling(f)[1]):
-            if rep.bit_count() == 1:
-                p = rep.bit_length() - 1
+        gens = _canonical_labeling(f)[1]
+        for p in range(f.n):
+            if not _orbit(p, gens) & ((1 << p) - 1):
                 out.append((delete_vertex(f, p), without_vertex(f.rows[p], p)))
     return out
 
@@ -265,6 +261,8 @@ def _walk(
     canonical representative per class of extended children, which are also
     the next level's parents, and the sorted canonical forms of the emitted
     children."""
+    if not 1 <= n_max <= MAX_ENUMERATION_N:
+        raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
     parents = [Graph(0, ())]
     for n in range(1, n_max + 1):
@@ -301,13 +299,9 @@ def enumerate_graphs(
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of n-vertex graphs avoiding
     every filter pattern, in canonical-form order."""
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
-    for m, level, _ in _walk(n, tuple(filters), _extend_all):
-        if m == n:
-            for g in level:
-                if not connected_only or is_connected(g):
-                    yield g
+    for g in enumerate_up_to(n, filters, connected_only):
+        if g.n == n:
+            yield g
 
 
 def enumerate_up_to(
@@ -315,8 +309,6 @@ def enumerate_up_to(
 ) -> Iterator[Graph]:
     """Like enumerate_graphs but over every order 1..n_max, ascending, without
     recomputing the lower levels once per order."""
-    if not 1 <= n_max <= MAX_ENUMERATION_N:
-        raise ValueError(f"enumeration limited to n_max <= {MAX_ENUMERATION_N}, got {n_max}")
     for _, level, _ in _walk(n_max, tuple(filters), _extend_all):
         for g in level:
             if not connected_only or is_connected(g):
@@ -366,8 +358,6 @@ def enumerate_critical(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 1 <= n_max <= MAX_ENUMERATION_N:
-        raise ValueError(f"enumeration limited to n_max <= {MAX_ENUMERATION_N}, got {n_max}")
     family = tuple(family)
     members = [
         canon

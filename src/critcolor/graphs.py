@@ -227,9 +227,12 @@ def bits_of(mask: int) -> frozenset[int]:
 
 
 def _check_vertices(g: Graph, vertices: Iterable[int]) -> int:
-    m = mask_of(vertices)
-    if m & ~((1 << g.n) - 1) or m < 0:
-        raise ValueError("vertex outside graph")
+    """The mask of the vertices; ValueError for one outside 0..n-1."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex outside graph")
+        m |= 1 << v
     return m
 
 
@@ -303,9 +306,7 @@ def mixed_vertices(g: Graph, s: Iterable[int]) -> frozenset[int]:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, relabelled 0..k-1 in ascending order."""
     keep = sorted(set(vertices))
-    m = mask_of(keep)
-    if m & ~((1 << g.n) - 1):
-        raise ValueError("vertex outside graph")
+    m = _check_vertices(g, keep)
     pos = {v: i for i, v in enumerate(keep)}
     rows = [0] * len(keep)
     for v in keep:

@@ -359,8 +359,8 @@ def parse_pattern(text: str) -> PatternSpec:
 
     A pattern is a base atom followed by optional "+<c>P1" terms that add
     isolated vertices: "P4+P1", "chair", "broom(3,2)", "C5+2P1".  A count
-    in front of the base atom repeats it as a disjoint union ("3K2"), with
-    "2P2" kept as a named atom of its own.
+    in front of the base atom makes one flat disjoint union of that many
+    copies ("3K2"), with "2P2" kept as a named atom of its own.
     """
     terms = text.strip().lower().replace(" ", "").split("+")
     if not terms or not terms[0]:
@@ -370,9 +370,6 @@ def parse_pattern(text: str) -> PatternSpec:
         m = re.match(r"^(\d*)(.*)$", term)
         count = int(m.group(1)) if m.group(1) else 1
         atom = m.group(2)
-        # "2P2" is an atom of its own; a leading count otherwise repeats
-        if count == 2 and atom == "p2" and len(terms) == 1:
-            return TWO_P2
         if count < 1 or not atom:
             raise ValueError(f"cannot parse pattern {text!r}")
         parsed.append((count, atom))
@@ -381,8 +378,8 @@ def parse_pattern(text: str) -> PatternSpec:
         base: PatternSpec = TWO_P2
     else:
         base = _parse_atom(base_atom)
-        for _ in range(base_count - 1):
-            base = union(base, _parse_atom(base_atom))
+        if base_count > 1:
+            base = union(*[base] * base_count)
     isolated = 0
     for count, atom in parsed[1:]:
         if atom != "p1":
@@ -416,5 +413,7 @@ def format_pattern(spec: PatternSpec) -> str:
         count = "" if spec.a == 1 else str(spec.a)
         return f"{format_pattern(spec.parts[0])}+{count}P1"
     if k == "union":
+        if len(set(spec.parts)) == 1:
+            return f"{len(spec.parts)}{format_pattern(spec.parts[0])}"
         return "+".join(format_pattern(p) for p in spec.parts)
     raise ValueError(f"unknown pattern kind {k!r}")

@@ -58,6 +58,13 @@ def test_color_and_bound(capsys):
     assert capsys.readouterr().out.strip() == "6"
 
 
+def test_color_no_verify_outside_the_family_exits_2(capsys):
+    assert run(["color", "--ell", "1", "--no-verify", "C~"]) == 2  # K4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: graph is not (P4+P1, K3)-free" in captured.err
+
+
 def test_malformed_graph6_exits_2(capsys):
     assert run(["chi", "D?"]) == 2
     err = capsys.readouterr().err

@@ -3,12 +3,14 @@ from hypothesis import given, settings
 
 from critcolor.chroma import clique_number, is_proper_coloring
 from critcolor.cograph import (
+    AnticompletePair,
     CompleteGraphError,
     JoinNode,
     Leaf,
     NotCographError,
     NotConnectedError,
     UnionNode,
+    _find_twins,
     cograph_color,
     cotree_leaves,
     find_anticomplete_pair,
@@ -19,6 +21,7 @@ from critcolor.cograph import (
 )
 from critcolor.enumeration import enumerate_graphs
 from critcolor.graphs import (
+    bits_of,
     complete_graph,
     empty_graph,
     from_edges,
@@ -26,6 +29,7 @@ from critcolor.graphs import (
     is_complete_between,
     is_connected,
     set_neighborhood,
+    set_neighborhood_mask,
 )
 from critcolor.patterns import find_induced, path
 
@@ -144,6 +148,8 @@ def test_pair_preconditions_raise_distinct_errors():
         find_anticomplete_pair(complete_graph(4))
     with pytest.raises(CompleteGraphError):
         find_anticomplete_pair(complete_graph(1))
+    with pytest.raises(ValueError, match="empty graph"):
+        find_anticomplete_pair(empty_graph(0))
 
 
 def test_pair_invariants_on_all_small_cographs():
@@ -167,3 +173,78 @@ def test_pair_is_deterministic():
     g = from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (4, 5), (0, 5)])
     if is_connected(g) and recognize(g) is not None:
         assert find_anticomplete_pair(g) == find_anticomplete_pair(g)
+
+
+# ---------------------------------------------------------------------------
+# the twin elimination against the code it replaced, which ran it once in
+# recognize and again in find_anticomplete_pair
+# ---------------------------------------------------------------------------
+
+
+def reference_recognize(g):
+    if g.n == 0:
+        raise ValueError("the empty graph has no cotree")
+
+    def merge(node_type, a, b):
+        left = a.children if isinstance(a, node_type) else (a,)
+        right = b.children if isinstance(b, node_type) else (b,)
+        return node_type(left + right)
+
+    trees = {v: Leaf(v) for v in range(g.n)}
+    active = list(range(g.n))
+    amask = (1 << g.n) - 1
+    while len(active) > 1:
+        hit = _find_twins(g, active, amask)
+        if hit is None:
+            return None
+        false_twin, u, v = hit
+        trees[u] = merge(UnionNode if false_twin else JoinNode, trees[u], trees[v])
+        del trees[v]
+        active.remove(v)
+        amask &= ~(1 << v)
+    return trees[active[0]]
+
+
+def reference_find_anticomplete_pair(g):
+    if not is_connected(g):
+        raise NotConnectedError("graph is not connected")
+    if reference_recognize(g) is None:
+        raise NotCographError("graph has an induced four-vertex path")
+    if g.edge_count() == g.n * (g.n - 1) // 2:
+        raise CompleteGraphError("complete graphs admit no anticomplete pair")
+    active = list(range(g.n))
+    amask = (1 << g.n) - 1
+    eliminated = []
+    while True:
+        false_twin, u, v = _find_twins(g, active, amask)
+        if false_twin:
+            x, y = {u}, {v}
+            break
+        eliminated.append((v, u))
+        active.remove(v)
+        amask &= ~(1 << v)
+    while eliminated:
+        v, u = eliminated.pop()
+        if u in x:
+            x.add(v)
+        elif u in y:
+            y.add(v)
+    w = bits_of(set_neighborhood_mask(g, sum(1 << v for v in x)))
+    return AnticompletePair(frozenset(x), frozenset(y), w)
+
+
+def test_cotrees_and_pairs_equal_the_reference_on_every_cograph_up_to_8():
+    checked = 0
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, filters=[path(4)]):
+            assert render_cotree(recognize(g)) == render_cotree(reference_recognize(g))
+            try:
+                expected = reference_find_anticomplete_pair(g)
+            except ValueError as exc:
+                with pytest.raises(type(exc)):
+                    find_anticomplete_pair(g)
+            else:
+                assert find_anticomplete_pair(g) == expected
+            checked += 1
+    assert checked == 809
+

@@ -132,7 +132,9 @@ def test_precondition_violations_raise_with_witness():
 
 
 def test_unchecked_calls_still_verify_the_output():
-    with pytest.raises(AssertionError):
+    # without the family check, an improper result means the input is
+    # outside the family: a usage error naming the family
+    with pytest.raises(ValueError, match=r"not \(P4\+P1, K3\)-free"):
         color_k3_free(complete_graph(3), 1, check=False)
 
 

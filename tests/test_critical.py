@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from critcolor import chroma
 from critcolor.chroma import Coloring, chromatic_number, is_k_colorable, is_proper_coloring
-from critcolor.enumeration import enumerate_graphs, enumerate_up_to
+from critcolor.enumeration import enumerate_critical, enumerate_graphs, enumerate_up_to
 from critcolor.critical import (
     _extract_with_kept,
     CriticalDb,
@@ -37,13 +38,15 @@ from critcolor.graphs import (
 )
 from critcolor.patterns import (
     PatternViolation,
+    broom,
     clique,
     embedding_is_induced,
     parse_pattern,
     path,
+    union,
 )
 
-from conftest import graphs
+from conftest import graphs, random_graph
 from oracles import naive_chromatic, naive_is_isomorphic, naive_is_k_colorable
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -180,6 +183,39 @@ def test_lemma_xy_respects_size_cap():
         find_lemma_xy_violation(g, 0)
 
 
+def brute_lemma_xy_violation(g, size_cap):
+    """Every (X, Y) of the lemma by its definition, the least under
+    (|X|+|Y|, X, Y) with X and Y as ascending vertex lists."""
+    subsets = [set(c) for size in range(1, size_cap + 1) for c in combinations(range(g.n), size)]
+    hits = []
+    for x in subsets:
+        nx = {u for v in x for u in range(g.n) if g.has_edge(u, v)} - x
+        for y in subsets:
+            if x & y or any(g.has_edge(a, b) for a in x for b in y):
+                continue
+            if not all(g.has_edge(a, b) for a in y for b in nx):
+                continue
+            if naive_chromatic(induced_subgraph(g, x)) <= naive_chromatic(induced_subgraph(g, y)):
+                hits.append((len(x) + len(y), sorted(x), sorted(y)))
+    if not hits:
+        return None
+    _, x, y = min(hits)
+    return frozenset(x), frozenset(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8), st.integers(1, 2))
+def test_lemma_xy_violation_is_the_least_pair_of_the_brute_force(g, size_cap):
+    assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
+
+
+def test_lemma_xy_violation_at_size_one_is_the_comparable_nonadjacent_pair():
+    for g in [*enumerate_up_to(6), *(random_graph(n, p, n) for n in range(7, 12) for p in (0.3, 0.5, 0.7))]:
+        pair = find_comparable_nonadjacent(g)
+        expected = None if pair is None else (frozenset({pair[0]}), frozenset({pair[1]}))
+        assert find_lemma_xy_violation(g, 1) == expected
+
+
 def test_sperner_constant():
     assert sperner_constant(1, 1) == 1
     assert sperner_constant(2, 2) == 6
@@ -201,6 +237,8 @@ def test_mixed_trace_partition():
         mixed_trace_partition(g, [])
     with pytest.raises(ValueError):
         mixed_trace_partition(from_edges(2, [(0, 1)]), [0, 1])
+    with pytest.raises(ValueError, match="vertex outside graph"):
+        mixed_trace_partition(g, [-1])
 
 
 def test_antichain_check():
@@ -215,6 +253,9 @@ def test_antichain_check():
         antichain_check(from_edges(2, [(0, 1)]), [0, 1], [])
     with pytest.raises(ValueError):
         antichain_check(g, [0], [9])
+    for s, u in (([0], [-1]), ([-1], [2])):
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            antichain_check(g, s, u)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +276,35 @@ def test_critdb_round_trip(tmp_path):
     target = tmp_path / "members.critdb"
     save_critdb(db, str(target))
     assert load_critdb(str(target)) == db
+
+
+def test_critdb_of_a_union_family_saves_and_loads(tmp_path):
+    db = enumerate_critical(3, 5, [parse_pattern("2K2")])
+    assert write_critdb(db).splitlines()[0] == "#critdb k=3 family=2K2"
+    target = tmp_path / "2k2.critdb"
+    save_critdb(db, str(target))
+    assert load_critdb(str(target)) == db
+
+
+def test_critdb_family_with_commas_round_trips():
+    db = CriticalDb(4, (broom(3, 2), parse_pattern("P4+P1")), (to_graph6(complete_graph(4)),))
+    assert write_critdb(db).splitlines()[0] == "#critdb k=4 family=broom(3,2),P4+P1"
+    assert parse_critdb(write_critdb(db)) == db
+
+
+def test_write_critdb_rejects_a_member_without_pattern_text():
+    with pytest.raises(ValueError, match=r"family member P3\+K3 "):
+        write_critdb(CriticalDb(3, (union(path(3), clique(3)),), ()))
+    # "2P2" names the 2p2 atom, not this union
+    with pytest.raises(ValueError, match="family member 2P2 "):
+        write_critdb(CriticalDb(3, (union(path(2), path(2)),), ()))
+
+
+def test_load_critdb_names_the_line_of_a_non_ascii_byte(tmp_path):
+    target = tmp_path / "bad.critdb"
+    target.write_bytes(b"#critdb k=3 family=\nBw\nD\xc3\n")
+    with pytest.raises(ValueError, match=r"^line 3: non-ASCII character .* \(byte offset 1\)$"):
+        load_critdb(str(target))
 
 
 def test_critdb_empty_family_round_trips():

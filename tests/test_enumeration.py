@@ -15,6 +15,7 @@ from critcolor.enumeration import (
     _critical_classifier,
     _forbidden_traces,
     _orbit_reps,
+    _refine,
     _trace_patterns,
     canonical_form,
     enumerate_critical,
@@ -25,6 +26,7 @@ from critcolor.enumeration import (
 )
 from critcolor.graphs import (
     Graph,
+    _adjacency_bits,
     complete_graph,
     empty_graph,
     from_edges,
@@ -109,6 +111,83 @@ def test_critdb_saved_by_earlier_code_still_verifies():
     db = load_critdb(str(Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"))
     assert verify_critdb(db)
     assert db == enumerate_critical(4, 7, [parse_pattern("P4+P1")])
+
+
+def reference_canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
+    """The labelling search as it stood before vertex orbits became masks:
+    one breadth-first search per pair of siblings, over the generators that
+    fix the vertices fixed so far."""
+    n = g.n
+    rows = g.rows
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(rows[v].bit_count(), []).append(v)
+    stable: set[int] = set()
+    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
+    best_bits = best_label = None
+    gens: list[list[int]] = []
+
+    def same_orbit(a, b, fixed):
+        usable = [p for p in gens if all(p[f] == f for f in fixed)]
+        if not usable:
+            return False
+        seen = {a}
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for p in usable:
+                    w = p[v]
+                    if w not in seen:
+                        if w == b:
+                            return True
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        return False
+
+    def descend(cells, fixed, stable):
+        nonlocal best_bits, best_label
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            label = [c[0] for c in cells]
+            bits = _adjacency_bits(rows, label)
+            if best_bits is None or bits < best_bits:
+                best_bits = bits
+                best_label = label
+            elif bits == best_bits:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best_label[i]] = label[i]
+                if any(perm[v] != v for v in range(n)) and perm not in gens:
+                    gens.append(perm)
+            return
+        done: list[int] = []
+        for v in cells[target]:
+            if any(same_orbit(v, w, fixed) for w in done):
+                continue
+            done.append(v)
+            rest = [u for u in cells[target] if u != v]
+            child = cells[:target] + [[v], rest] + cells[target + 1:]
+            child_stable = set(stable)
+            descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
+
+    descend(cells, [], stable)
+    return best_bits, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10, min_n=1))
+def test_canonical_labeling_equals_the_reference_search(g):
+    assert _canonical_labeling(g) == reference_canonical_labeling(g)
+
+
+def test_canonical_labeling_equals_the_reference_search_on_symmetric_graphs(petersen):
+    k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    cycles = [from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    edgeless = [empty_graph(n) for n in range(1, 9)]
+    for g in [petersen, permuted(petersen, 3), k33, permuted(k33, 5), *cycles, *edgeless]:
+        assert _canonical_labeling(g) == reference_canonical_labeling(g)
 
 
 def test_canonical_form_size_limit():

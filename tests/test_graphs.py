@@ -164,6 +164,11 @@ def test_neighborhoods():
     assert closed_set_neighborhood(P4, [0, 1]) == {0, 1, 2}
     with pytest.raises(ValueError):
         set_neighborhood(P4, [9])
+    for bad in ([-1], [0, -1]):
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            set_neighborhood(P4, bad)
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            closed_set_neighborhood(P4, bad)
 
 
 @given(graphs(max_n=8))
@@ -184,6 +189,10 @@ def test_independence_and_betweenness():
         is_complete_between(P4, [0, 1], [1, 2])
     with pytest.raises(ValueError):
         is_anticomplete_between(P4, [0], [0])
+    with pytest.raises(ValueError, match="vertex outside graph"):
+        is_independent(C5, [0, -1])
+    with pytest.raises(ValueError, match="vertex outside graph"):
+        is_complete_between(P4, [-1], [1])
 
 
 def test_mixed_vertices():
@@ -192,6 +201,9 @@ def test_mixed_vertices():
     assert mixed_vertices(C5, [0]) == frozenset()
     with pytest.raises(ValueError):
         mixed_vertices(P4, [])
+    for bad in ([4], [-1]):
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            mixed_vertices(P4, bad)
 
 
 @given(graphs(max_n=7), st.data())
@@ -221,6 +233,8 @@ def test_induced_subgraph_relabels_in_order():
     assert induced_subgraph(C5, [4, 1, 1, 2]) == sub
     with pytest.raises(ValueError):
         induced_subgraph(C5, [5])
+    with pytest.raises(ValueError, match="vertex outside graph"):
+        induced_subgraph(C5, [-1, 2])
 
 
 def test_delete_vertex():

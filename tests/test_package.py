@@ -28,3 +28,38 @@ def test_package_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """The names and attribute names read anywhere in tree outside skip."""
+    inside = {id(node) for node in ast.walk(skip)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def private_helpers_without_callers(package_dir: Path) -> list[str]:
+    """Module-level private functions and classes of the package that no
+    code outside their own definition names."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package_dir.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for helper in tree.body:
+            if not isinstance(helper, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not helper.name.startswith("_") or helper.name.startswith("__"):
+                continue
+            if not any(helper.name in referenced_names(t, helper) for t in trees.values()):
+                unused.append(f"{module}:{helper.name}")
+    return unused
+
+
+def test_every_private_helper_is_used_elsewhere_in_the_package():
+    assert private_helpers_without_callers(Path(critcolor.__file__).parent) == []

@@ -138,6 +138,8 @@ def test_invalid_specs_raise(make):
         ("star(3)", star(3)),
         ("gem+3p1", plus_isolated(GEM, 3)),
         ("2K3", union(clique(3), clique(3))),
+        ("3K2", union(clique(2), clique(2), clique(2))),
+        ("2P2+P1", plus_isolated(TWO_P2, 1)),
     ],
 )
 def test_parse_pattern(text, spec):
@@ -161,6 +163,8 @@ def test_parse_pattern_rejects(text):
         (broom(3, 2), "broom(3,2)"),
         (clique(4), "K4"),
         (plus_isolated(GEM, 3), "gem+3P1"),
+        (union(clique(2), clique(2), clique(2)), "3K2"),
+        (union(path(3), clique(3)), "P3+K3"),
     ],
 )
 def test_format_pattern(spec, text):
@@ -170,7 +174,7 @@ def test_format_pattern(spec, text):
 @pytest.mark.parametrize(
     "text",
     ["P4", "P4+P1", "P4+2P1", "2P2", "chair", "bull", "cricket", "gem",
-     "K4", "C5", "broom(4,2)", "broomplus(2)", "star(3)", "gem+3P1"],
+     "K4", "C5", "broom(4,2)", "broomplus(2)", "star(3)", "gem+3P1", "2K3", "3K2", "2P3+P1"],
 )
 def test_format_parse_round_trip(text):
     spec = parse_pattern(text)

@@ -203,8 +203,6 @@ def _chromatic(
 ) -> tuple[int, Coloring, int]:
     """``chromatic_number``'s answer and the maximum clique, as a vertex
     mask, whose size is its lower bound."""
-    if g.n == 0:
-        return 0, Coloring(0, ()), 0
     budget = _Budget.shared(budget)
     clique = _max_clique(g, budget)
     lower = clique.bit_count()

@@ -25,7 +25,7 @@ from .cograph import (
     recognize,
     render_cotree,
 )
-from .graphs import Graph, Graph6Error, parse_graph6, to_graph6
+from .graphs import Graph, parse_graph6, to_graph6
 from .patterns import PatternViolation, format_pattern, is_free, parse_pattern
 
 
@@ -282,9 +282,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             print(humans[0])
         return emit(worst, payloads[0], texts[0])
 
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PatternViolation, chroma.BudgetExhausted, _UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

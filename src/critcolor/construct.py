@@ -42,15 +42,17 @@ def _family(ell: int, k: int) -> list:
 def greedy_independent_set(g: Graph, ell: int) -> list[int]:
     """Least-indexed greedy independent set, stopping at ell vertices.
     When the greedy run stops short of ell the set is inclusion-maximal."""
+    if ell < 0:
+        raise ValueError(f"ell must be nonnegative, got {ell}")
     chosen: list[int] = []
     blocked = 0
     for v in range(g.n):
+        if len(chosen) == ell:
+            break
         if blocked >> v & 1:
             continue
         chosen.append(v)
         blocked |= g.rows[v] | 1 << v
-        if len(chosen) == ell:
-            break
     return chosen
 
 
@@ -129,8 +131,9 @@ def color_k3_free(g: Graph, ell: int, check: bool = True) -> Coloring:
 def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
     """Colour a (P4+ell*P1, K_k)-free graph with at most bound_f(k, ell)
     colours.  The family membership is verified up front unless check is
-    False; the properness of the result is always verified, and without
-    the check an improper result means g is outside the family."""
+    False; the result is always checked to be proper and within the bound,
+    and without the check a result that fails either means g is outside
+    the family."""
     if k < 3:
         raise ValueError(f"clique parameter must be at least 3, got {k}")
     if ell < 0:
@@ -141,8 +144,12 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
             raise PatternViolation(hit[0], hit[1])
     col = _compact(_color_bounded(g, ell, k))
     if not is_proper_coloring(g, col):
-        if check:  # pragma: no cover - guards the maths
-            raise AssertionError("constructive colouring came out improper")
-        names = ", ".join(format_pattern(p) for p in _family(ell, k))
-        raise ValueError(f"graph is not ({names})-free: its constructive colouring is improper")
-    return col
+        problem = "is improper"
+    elif col.palette_size > bound_f(k, ell):
+        problem = f"uses {col.palette_size} colours, above the bound {bound_f(k, ell)}"
+    else:
+        return col
+    if check:  # pragma: no cover - guards the maths
+        raise AssertionError(f"constructive colouring {problem}")
+    names = ", ".join(format_pattern(p) for p in _family(ell, k))
+    raise ValueError(f"graph is not ({names})-free: its constructive colouring {problem}")

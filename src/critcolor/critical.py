@@ -119,6 +119,8 @@ def _extract_with_kept(
     """Delete the least-indexed vertex whose deletion keeps chi >= k while
     there is one.  While chi > k every deletion qualifies; at chi = k,
     ``_keeps_chi`` decides, and the colouring and clique carry over."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     counter = chroma._Budget.shared(budget)
     chi, col, clique = chroma._chromatic(g, counter)
     if chi < k:

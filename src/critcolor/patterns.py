@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .chroma import _Budget
 from .graphs import Graph, disjoint_union, from_edges
 
-_SIMPLE_KINDS = {"chair", "bull", "cricket", "gem", "2p2"}
+_SIMPLE_KINDS = {"chair", "bull", "cricket", "gem"}
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,10 @@ class PatternSpec:
     """One forbidden pattern.
 
     kind is one of: ``path``, ``clique``, ``star``, ``cycle``, ``broom``,
-    ``broomplus``, ``chair``, ``bull``, ``cricket``, ``gem``, ``2p2``,
-    ``union``, ``plus_isolated``.  Integer parameters live in ``a``/``b``;
-    composite kinds carry sub-specs in ``parts``.
+    ``broomplus``, ``chair``, ``bull``, ``cricket``, ``gem``, ``union``.
+    Integer parameters live in ``a``/``b``.  A ``union`` is the disjoint
+    union of its ``parts``, none of which is a union itself, so every
+    disjoint union ("2P2", "P4+P1", "3K2") has exactly one spec.
     """
 
     kind: str
@@ -55,11 +56,8 @@ class PatternSpec:
         elif k in _SIMPLE_KINDS:
             pass
         elif k == "union":
-            if len(self.parts) < 2:
-                raise ValueError("union needs at least two parts")
-        elif k == "plus_isolated":
-            if len(self.parts) != 1 or self.a < 1:
-                raise ValueError("plus_isolated needs one base spec and >= 1 isolated vertices")
+            if len(self.parts) < 2 or any(p.kind == "union" for p in self.parts):
+                raise ValueError("union needs at least two parts, none of them a union")
         else:
             raise ValueError(f"unknown pattern kind {k!r}")
 
@@ -89,18 +87,23 @@ def broomplus(m: int) -> PatternSpec:
 
 
 def union(*parts: PatternSpec) -> PatternSpec:
-    return PatternSpec("union", parts=tuple(parts))
+    """The disjoint union of the parts; a part that is a union contributes
+    its own parts, so the result is flat."""
+    flat = (q for p in parts for q in (p.parts if p.kind == "union" else (p,)))
+    return PatternSpec("union", parts=tuple(flat))
 
 
 def plus_isolated(base: PatternSpec, count: int) -> PatternSpec:
-    return PatternSpec("plus_isolated", count, parts=(base,))
+    if count < 1:
+        raise ValueError(f"plus_isolated needs >= 1 isolated vertices, got {count}")
+    return union(base, *[path(1)] * count)
 
 
 CHAIR = PatternSpec("chair")
 BULL = PatternSpec("bull")
 CRICKET = PatternSpec("cricket")
 GEM = PatternSpec("gem")
-TWO_P2 = PatternSpec("2p2")
+TWO_P2 = union(path(2), path(2))
 
 
 @lru_cache(maxsize=None)
@@ -138,16 +141,11 @@ def realize(spec: PatternSpec) -> Graph:
         return from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)])
     if k == "gem":
         return from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
-    if k == "2p2":
-        return from_edges(4, [(0, 1), (2, 3)])
     if k == "union":
         g = realize(spec.parts[0])
         for part in spec.parts[1:]:
             g = disjoint_union(g, realize(part))
         return g
-    if k == "plus_isolated":
-        base = realize(spec.parts[0])
-        return Graph(base.n + spec.a, base.rows + (0,) * spec.a)
     raise ValueError(f"unknown pattern kind {k!r}")
 
 
@@ -327,8 +325,9 @@ def is_free(
 
 
 # ---------------------------------------------------------------------------
-# text grammar: P5, K4, C5, 2P2, chair, bull, cricket, gem, broom(n,m),
-# broomplus(m), star(m); a +<count>P1 suffix adds isolated vertices.
+# text grammar: P5, K4, C5, chair, bull, cricket, gem, broom(n,m),
+# broomplus(m), star(m); a count in front makes copies ("2P2"), and a
+# +<count>P1 suffix adds isolated vertices.
 # ---------------------------------------------------------------------------
 
 _ATOM_RE = re.compile(r"^(?:(p|k|c)(\d+)|(broom)\((\d+),(\d+)\)|(broomplus|star)\((\d+)\)|(chair|bull|cricket|gem))$")
@@ -359,35 +358,20 @@ def parse_pattern(text: str) -> PatternSpec:
 
     A pattern is a base atom followed by optional "+<c>P1" terms that add
     isolated vertices: "P4+P1", "chair", "broom(3,2)", "C5+2P1".  A count
-    in front of the base atom makes one flat disjoint union of that many
-    copies ("3K2"), with "2P2" kept as a named atom of its own.
+    in front of the base atom makes that many copies ("2P2", "3K2").  Any
+    text naming a disjoint union parses to one flat ``union``.
     """
-    terms = text.strip().lower().replace(" ", "").split("+")
-    if not terms or not terms[0]:
-        raise ValueError(f"cannot parse pattern {text!r}")
-    parsed: list[tuple[int, str]] = []
-    for term in terms:
+    parts: list[PatternSpec] = []
+    for i, term in enumerate(text.strip().lower().replace(" ", "").split("+")):
         m = re.match(r"^(\d*)(.*)$", term)
         count = int(m.group(1)) if m.group(1) else 1
         atom = m.group(2)
         if count < 1 or not atom:
             raise ValueError(f"cannot parse pattern {text!r}")
-        parsed.append((count, atom))
-    base_count, base_atom = parsed[0]
-    if base_count == 2 and base_atom == "p2":
-        base: PatternSpec = TWO_P2
-    else:
-        base = _parse_atom(base_atom)
-        if base_count > 1:
-            base = union(*[base] * base_count)
-    isolated = 0
-    for count, atom in parsed[1:]:
-        if atom != "p1":
+        if i and atom != "p1":
             raise ValueError(f"only P1 terms may follow the base pattern, got {atom!r} in {text!r}")
-        isolated += count
-    if isolated:
-        return plus_isolated(base, isolated)
-    return base
+        parts += [_parse_atom(atom)] * count
+    return parts[0] if len(parts) == 1 else union(*parts)
 
 
 def format_pattern(spec: PatternSpec) -> str:
@@ -405,15 +389,19 @@ def format_pattern(spec: PatternSpec) -> str:
         return f"broom({spec.a},{spec.b})"
     if k == "broomplus":
         return f"broomplus({spec.a})"
-    if k == "2p2":
-        return "2P2"
     if k in _SIMPLE_KINDS:
         return k
-    if k == "plus_isolated":
-        count = "" if spec.a == 1 else str(spec.a)
-        return f"{format_pattern(spec.parts[0])}+{count}P1"
     if k == "union":
-        if len(set(spec.parts)) == 1:
-            return f"{len(spec.parts)}{format_pattern(spec.parts[0])}"
-        return "+".join(format_pattern(p) for p in spec.parts)
+        # equal parts print as a count and trailing P1s as a "+<c>P1" suffix;
+        # any other union prints "+"-joined, which does not parse back
+        parts, head = spec.parts, len(spec.parts)
+        while len(set(parts[:head])) > 1 and parts[head - 1] == path(1):
+            head -= 1
+        if len(set(parts[:head])) > 1:
+            return "+".join(format_pattern(p) for p in parts)
+        text = f"{head if head > 1 else ''}{format_pattern(parts[0])}"
+        isolated = len(parts) - head
+        if isolated:
+            text += f"+{isolated if isolated > 1 else ''}P1"
+        return text
     raise ValueError(f"unknown pattern kind {k!r}")

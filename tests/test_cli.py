@@ -1,6 +1,9 @@
 import io
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,14 @@ def test_color_no_verify_outside_the_family_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: graph is not (P4+P1, K3)-free" in captured.err
+
+
+def test_color_no_verify_above_the_bound_exits_2(capsys):
+    assert run(["color", "--ell", "1", "--no-verify", "DJ["]) == 2  # K1+K4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: graph is not (P4+P1, K3)-free" in captured.err
+    assert "above the bound 3" in captured.err
 
 
 def test_malformed_graph6_exits_2(capsys):
@@ -217,3 +228,38 @@ def test_certify_against_cograph_db(tmp_path, capsys):
     assert out.startswith("witness C~")  # the K4 member, in graph6
     assert run(["critical", "--k", "4", "C~"]) == 0
     assert "critical" in capsys.readouterr().out
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """The ``critcolor`` lines of README's command-line block, in order, as
+    (arguments, trailing comment) pairs."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("critcolor "):
+            command, _, comment = line.partition("#")
+            examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+def test_readme_command_line_examples_run_as_documented(capsys, tmp_path, monkeypatch):
+    # A comment "... -> exit N" gives the exit code; any other comment is the
+    # first output line, or a prefix of it when it ends in "...", and the
+    # command must succeed.  One directory for all: `enumerate --db` writes
+    # the file that `certify` reads.
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) >= 10
+    for argv, comment in examples:
+        code = run(argv)
+        lines = capsys.readouterr().out.splitlines()
+        expected_exit = re.search(r"-> exit (\d+)$", comment)
+        if expected_exit:
+            assert code == int(expected_exit.group(1)), argv
+            continue
+        assert code == 0, argv
+        if comment.endswith("..."):
+            assert lines[0].startswith(comment[:-3]), (argv, lines[0])
+        elif comment:
+            assert lines[0] == comment, (argv, lines[0])

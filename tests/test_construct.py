@@ -77,6 +77,13 @@ def test_greedy_independent_set_properties(g, ell):
         assert closed_set_neighborhood(g, s) == frozenset(range(g.n))
 
 
+def test_greedy_independent_set_stops_at_ell_vertices_even_at_zero():
+    assert greedy_independent_set(C5, 0) == []
+    assert greedy_independent_set(C5, 1) == [0]
+    with pytest.raises(ValueError, match="ell must be nonnegative"):
+        greedy_independent_set(C5, -1)
+
+
 def test_neighborhood_partition_first_claim_rule():
     g = from_edges(5, [(0, 2), (0, 3), (1, 3), (1, 4)])
     blocks = closed_neighborhood_partition(g, [0, 1])
@@ -136,6 +143,13 @@ def test_unchecked_calls_still_verify_the_output():
     # outside the family: a usage error naming the family
     with pytest.raises(ValueError, match=r"not \(P4\+P1, K3\)-free"):
         color_k3_free(complete_graph(3), 1, check=False)
+    # K1+K4 colours properly with 4 colours, one more than bound_f(3, 1):
+    # that too proves the input is outside the family
+    k1_k4 = disjoint_union(empty_graph(1), complete_graph(4))
+    with pytest.raises(ValueError, match=r"not \(P4\+P1, K3\)-free: .* 4 colours, above the bound 3"):
+        color_k3_free(k1_k4, 1, check=False)
+    with pytest.raises(PatternViolation):
+        color_k3_free(k1_k4, 1)
 
 
 def test_ell_zero_requires_a_cograph():

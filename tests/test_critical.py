@@ -142,6 +142,11 @@ def test_extract_critical_subgraph():
     assert sub == complete_graph(4)
     with pytest.raises(ValueError):
         extract_critical_subgraph(C5, 4)
+    # below k = 1 every graph keeps chi >= k, so nothing else would stop
+    # the extraction from deleting every vertex
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            extract_critical_subgraph(complete_graph(3), k)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +297,16 @@ def test_critdb_family_with_commas_round_trips():
     assert parse_critdb(write_critdb(db)) == db
 
 
-def test_write_critdb_rejects_a_member_without_pattern_text():
+def test_write_critdb_rejects_a_member_without_pattern_text(tmp_path):
     with pytest.raises(ValueError, match=r"family member P3\+K3 "):
         write_critdb(CriticalDb(3, (union(path(3), clique(3)),), ()))
-    # "2P2" names the 2p2 atom, not this union
-    with pytest.raises(ValueError, match="family member 2P2 "):
-        write_critdb(CriticalDb(3, (union(path(2), path(2)),), ()))
+    with pytest.raises(ValueError, match=r"family member P1\+P4 "):
+        write_critdb(CriticalDb(3, (union(path(1), path(4)),), ()))
+    # a disjoint union has one spec however it is built, and "2P2" names it
+    db = CriticalDb(3, (union(path(2), path(2)),), ())
+    target = tmp_path / "2p2.critdb"
+    save_critdb(db, str(target))
+    assert load_critdb(str(target)) == db == CriticalDb(3, (parse_pattern("2P2"),), ())
 
 
 def test_load_critdb_names_the_line_of_a_non_ascii_byte(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcolor.critical import CriticalDb, load_critdb
+from critcolor.critical import CriticalDb, load_critdb, write_critdb
 from critcolor.enumeration import (
     _EMIT,
     _EXTEND,
@@ -33,7 +33,7 @@ from critcolor.graphs import (
     parse_graph6,
     to_graph6,
 )
-from critcolor.patterns import clique, is_free, parse_pattern, path, realize
+from critcolor.patterns import clique, is_free, parse_pattern, path, realize, union
 
 from conftest import graphs, random_graph
 from oracles import brute_canonical_key, naive_is_isomorphic
@@ -108,9 +108,12 @@ def test_canonical_forms_are_frozen(petersen):
 
 
 def test_critdb_saved_by_earlier_code_still_verifies():
-    db = load_critdb(str(Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"))
+    saved = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
+    db = load_critdb(str(saved))
     assert verify_critdb(db)
     assert db == enumerate_critical(4, 7, [parse_pattern("P4+P1")])
+    assert db == enumerate_critical(4, 7, [union(path(4), path(1))])
+    assert write_critdb(db) == saved.read_text()
 
 
 def reference_canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:

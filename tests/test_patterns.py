@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critcolor.chroma import BudgetExhausted, _Budget
+from critcolor.critical import CriticalDb, write_critdb
 from critcolor.graphs import complete_graph, disjoint_union, empty_graph, from_edges
 from critcolor.patterns import (
     BULL,
@@ -107,6 +108,12 @@ def test_chair_shape_sits_inside_longer_brooms(m):
         lambda: star(-1),
         lambda: plus_isolated(path(4), 0),
         lambda: PatternSpec("nonsense"),
+        # a union part of a union: union() flattens it, a hand-built spec may not
+        lambda: PatternSpec("union", parts=(path(1), union(path(2), path(2)))),
+        lambda: union(path(3)),
+        lambda: plus_isolated(TWO_P2, 0),
+        lambda: PatternSpec("2p2"),
+        lambda: PatternSpec("plus_isolated", 1, parts=(path(4),)),
     ],
 )
 def test_invalid_specs_raise(make):
@@ -119,31 +126,70 @@ def test_invalid_specs_raise(make):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text,spec",
-    [
-        ("P4", path(4)),
-        ("p4 + p1", plus_isolated(path(4), 1)),
-        ("P4+2P1", plus_isolated(path(4), 2)),
-        ("P4+P1+P1", plus_isolated(path(4), 2)),
-        ("2P2", TWO_P2),
-        ("chair", CHAIR),
-        ("BULL", BULL),
-        ("cricket", CRICKET),
-        ("gem", GEM),
-        ("K4", clique(4)),
-        ("C5", cycle(5)),
-        ("broom(3,2)", broom(3, 2)),
-        ("broomplus(2)", broomplus(2)),
-        ("star(3)", star(3)),
-        ("gem+3p1", plus_isolated(GEM, 3)),
-        ("2K3", union(clique(3), clique(3))),
-        ("3K2", union(clique(2), clique(2), clique(2))),
-        ("2P2+P1", plus_isolated(TWO_P2, 1)),
-    ],
-)
+PARSE_TABLE = [
+    ("P4", path(4)),
+    ("p4 + p1", plus_isolated(path(4), 1)),
+    ("P4+2P1", plus_isolated(path(4), 2)),
+    ("P4+P1+P1", plus_isolated(path(4), 2)),
+    ("2P2", TWO_P2),
+    ("chair", CHAIR),
+    ("BULL", BULL),
+    ("cricket", CRICKET),
+    ("gem", GEM),
+    ("K4", clique(4)),
+    ("C5", cycle(5)),
+    ("broom(3,2)", broom(3, 2)),
+    ("broomplus(2)", broomplus(2)),
+    ("star(3)", star(3)),
+    ("gem+3p1", plus_isolated(GEM, 3)),
+    ("2K3", union(clique(3), clique(3))),
+    ("3K2", union(clique(2), clique(2), clique(2))),
+    ("2P2+P1", plus_isolated(TWO_P2, 1)),
+]
+
+# The labelled graph of every spec above.  Embeddings, forbidden traces and
+# canonical forms all follow these labels, so they must never change.
+GOLDEN_ROWS = {
+    "P4": (2, 5, 10, 4),
+    "p4 + p1": (2, 5, 10, 4, 0),
+    "P4+2P1": (2, 5, 10, 4, 0, 0),
+    "P4+P1+P1": (2, 5, 10, 4, 0, 0),
+    "2P2": (2, 1, 8, 4),
+    "chair": (2, 5, 26, 4, 4),
+    "BULL": (2, 13, 26, 6, 4),
+    "cricket": (6, 29, 3, 2, 2),
+    "gem": (18, 21, 26, 20, 15),
+    "K4": (14, 13, 11, 7),
+    "C5": (18, 5, 10, 20, 9),
+    "broom(3,2)": (2, 5, 26, 4, 4),
+    "broomplus(2)": (2, 13, 58, 6, 4, 4),
+    "star(3)": (14, 1, 1, 1),
+    "gem+3p1": (18, 21, 26, 20, 15, 0, 0, 0),
+    "2K3": (6, 5, 3, 48, 40, 24),
+    "3K2": (2, 1, 8, 4, 32, 16),
+    "2P2+P1": (2, 1, 8, 4, 0),
+}
+
+
+@pytest.mark.parametrize("text,spec", PARSE_TABLE)
 def test_parse_pattern(text, spec):
     assert parse_pattern(text) == spec
+
+
+@pytest.mark.parametrize("spec,rows", [(spec, GOLDEN_ROWS[text]) for text, spec in PARSE_TABLE] + [
+    (plus_isolated(TWO_P2, 2), (2, 1, 8, 4, 0, 0)),
+    (union(union(clique(2), clique(2)), clique(2)), (2, 1, 8, 4, 32, 16)),
+])
+def test_realize_keeps_the_golden_labelling(spec, rows):
+    assert realize(spec).rows == rows
+
+
+def test_every_disjoint_union_has_one_spec():
+    assert union(path(2), path(2)) == TWO_P2 == parse_pattern("2P2")
+    assert union(path(4), path(1)) == plus_isolated(path(4), 1) == parse_pattern("P4+P1")
+    assert union(union(clique(2), clique(2)), clique(2)) == parse_pattern("3K2")
+    assert plus_isolated(TWO_P2, 1) == union(path(2), path(2), path(1))
+    assert format_pattern(parse_pattern("P1+P1")) == "2P1"
 
 
 @pytest.mark.parametrize("text", ["", "P0", "K0", "xyz", "P4+", "P4+K3", "0P1", "broom(1,1)", "+P1"])
@@ -179,6 +225,40 @@ def test_format_pattern(spec, text):
 def test_format_parse_round_trip(text):
     spec = parse_pattern(text)
     assert parse_pattern(format_pattern(spec)) == spec
+
+
+_atoms = st.one_of(
+    st.integers(1, 4).map(path),
+    st.integers(1, 4).map(clique),
+    st.integers(0, 3).map(star),
+    st.integers(3, 5).map(cycle),
+    st.tuples(st.integers(2, 4), st.integers(0, 2)).map(lambda t: broom(*t)),
+    st.integers(0, 2).map(broomplus),
+    st.sampled_from([CHAIR, BULL, CRICKET, GEM, TWO_P2]),
+)
+specs = st.recursive(_atoms, lambda inner: st.one_of(
+    st.lists(inner, min_size=2, max_size=4).map(lambda parts: union(*parts)),
+    st.tuples(inner, st.integers(1, 3)).map(lambda t: plus_isolated(*t)),
+), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(specs, min_size=2, max_size=8))
+def test_pattern_text_names_one_spec(batch):
+    by_text = {}
+    for spec in batch:
+        assert by_text.setdefault(format_pattern(spec), spec) == spec
+        try:
+            parsed = parse_pattern(format_pattern(spec))
+        except ValueError:
+            parsed = None
+        assert parsed is None or parsed == spec
+        try:
+            write_critdb(CriticalDb(3, (spec,), ()))
+            saved = True
+        except ValueError:
+            saved = False
+        assert saved == (parsed is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ def main() -> int:
     ap.add_argument("--skip-verify", action="store_true",
                     help="skip the independent re-verification pass")
     args = ap.parse_args()
+    try:
+        return build(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def build(args: argparse.Namespace) -> int:
     family = [parse_pattern(t) for t in args.free]
     if family:
         label = "(" + ",".join(format_pattern(p) for p in family) + ")-free graphs"

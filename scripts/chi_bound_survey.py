@@ -25,7 +25,14 @@ def main() -> int:
     ap.add_argument("--clique", type=int, default=3, help="forbidden clique order k")
     ap.add_argument("--n", type=int, default=8, help="maximum order to survey")
     args = ap.parse_args()
+    try:
+        return survey(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def survey(args: argparse.Namespace) -> int:
     base = plus_isolated(path(4), args.ell) if args.ell else path(4)
     family = [base, clique(args.clique)]
     bound = bound_f(args.clique, args.ell)

@@ -25,6 +25,25 @@ in every way, one neighbourhood per orbit of the parent's automorphism group
 parent's canonical labelling found generators for, so the pruning stays
 exact even where those generate only a subgroup.
 
+Each class still turns up from many parents, so the walk also keeps a child
+only when its new vertex maximises the invariant (degree, sorted tuple of
+neighbour degrees) over the child's vertices, ties included: the cheap half
+of McKay's canonical construction path.  The degree half is decided on the
+neighbourhood mask before the child is built; ``_orbit_reps`` skips the
+masks smaller than the parent's maximum degree, which always fail it.  The
+rule loses no class the walk must reach.  Take such a class X, a vertex m
+of X whose invariant is maximal, and the parent P isomorphic to X - m.  The
+neighbourhood of m, carried into P, lies in the orbit of a mask the walk
+tries, under automorphisms the labelling found; the child from that mask is
+isomorphic to X by a map sending the new vertex to m, so it passes.
+Automorphisms the labelling missed only split orbits, so the rule needs no
+complete group.  And P is a parent: plain enumeration extends every graph,
+and critical enumeration every family-free (k-1)-colourable graph below
+n_max, which X - m is when X is extended (heredity) and when X is k-critical
+(criticality).  Emitted children that are not critical may be missed; no
+member is.  The duplicates left, from ties and from distinct parents, meet
+in the per-level dictionary keyed by canonical form.
+
 Forbidden families are hereditary, so a child that contains a family graph
 is dropped for good, and every parent is family-free.  A child made by
 adding v to a parent therefore contains a family graph F only through a copy
@@ -59,7 +78,9 @@ from .graphs import (
     Graph,
     Graph6Error,
     _adjacency_bits,
+    _body_bits,
     _encode_graph6,
+    _rows_from_bits,
     delete_vertex,
     is_connected,
     iter_bits,
@@ -133,7 +154,9 @@ def _orbit(v: int, gens: list[list[int]]) -> int:
 def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
     """The least adjacency bit-string over all vertex orders compatible with
     the refined degree partition, and the automorphisms found on the way (as
-    vertex maps; they generate a subgroup of Aut(g), usually all of it)."""
+    vertex maps; they generate a subgroup of Aut(g), usually all of it).  The
+    walk's orbit pruning and canonical-deletion rule use only these maps, so
+    both stay exact when they generate less than Aut(g)."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
@@ -186,22 +209,30 @@ def canonical_form(g: Graph) -> str:
     return _encode_graph6(g.n, _canonical_labeling(g)[0])
 
 
-def _orbit_reps(n: int, gens: list[list[int]]) -> Iterator[int]:
+def _orbit_reps(n: int, gens: list[list[int]], floor: int = 0) -> Iterator[int]:
     """The least mask of each orbit of the group the vertex maps ``gens``
-    generate, acting on the subsets of n vertices, ascending."""
+    generate, acting on the subsets of n vertices, ascending, over the masks
+    of at least ``floor`` vertices.  A vertex map keeps the size of a
+    mask, so those orbits are whole and the smaller masks are never mapped."""
+    tables = []  # per generator: images of the low byte and of the bits above it
+    for p in gens:
+        low, high = [0] * (1 << min(n, 8)), [0] * (1 << max(n - 8, 0))
+        for table, base in ((low, 0), (high, 8)):
+            for b in range(1, len(table)):
+                top = b.bit_length() - 1
+                table[b] = table[b ^ 1 << top] | 1 << p[base + top]
+        tables.append((low, high))
     seen = bytearray(1 << n)
     for rep in range(1 << n):
-        if seen[rep]:
+        if seen[rep] or rep.bit_count() < floor:
             continue
         yield rep
         seen[rep] = 1
         stack = [rep]
         while stack:
             mask = stack.pop()
-            for p in gens:
-                image = 0
-                for v in iter_bits(mask):
-                    image |= 1 << p[v]
+            for low, high in tables:
+                image = low[mask & 255] | high[mask >> 8]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
@@ -246,6 +277,18 @@ def _forbidden_traces(parent: Graph, trace_patterns: list[tuple[Graph, int]]) ->
     return traces
 
 
+def _outranked(child: Graph, ties: int) -> bool:
+    """Whether a vertex of ``ties``, all of the new last vertex's degree, has
+    a larger sorted tuple of neighbour degrees than the new vertex."""
+    degree = [row.bit_count() for row in child.rows]
+
+    def key(v: int) -> list[int]:
+        return sorted(degree[u] for u in iter_bits(child.rows[v]))
+
+    new = key(child.n - 1)
+    return any(key(u) > new for u in iter_bits(ties))
+
+
 _EXTEND, _EMIT = "extend", "emit"
 
 _ChildClassifier = Callable[[Graph, int, int], Optional[str]]
@@ -255,9 +298,10 @@ def _walk(
     n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], list[str]]]:
     """The level walk.  Each parent gets its child classifier from
-    ``classify(parent)``; each family-free child on n vertices, with the new
-    vertex's neighbourhood mask nb, is classified by ``classifier(child, n,
-    nb)`` as _EXTEND, _EMIT or None (dropped).  Yields, per order n, one
+    ``classify(parent)``; each family-free child on n vertices whose new
+    vertex maximises the invariant of the canonical-deletion rule, with the
+    new vertex's neighbourhood mask nb, is classified by ``classifier(child,
+    n, nb)`` as _EXTEND, _EMIT or None (dropped).  Yields, per order n, one
     canonical representative per class of extended children, which are also
     the next level's parents, and the sorted canonical forms of the emitted
     children."""
@@ -271,15 +315,30 @@ def _walk(
         for parent in parents:
             forbidden = _forbidden_traces(parent, trace_patterns)
             classify_child = classify(parent)
-            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+            by_degree: dict[int, int] = {}  # degree -> mask of the parent's vertices
+            for u, row in enumerate(parent.rows):
+                deg = row.bit_count()
+                by_degree[deg] = by_degree.get(deg, 0) | 1 << u
+            top = max(by_degree, default=0)
+            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1], top):
                 if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
                     continue
+                # the new vertex has degree d >= top; a parent vertex of degree
+                # d inside nb outgrows it, and those that reach d tie with it
+                d = nb.bit_count()
+                if nb & by_degree.get(d, 0):
+                    continue
+                ties = by_degree.get(d, 0) | nb & by_degree.get(d - 1, 0)
                 child = _attach(parent, nb)
+                if ties and _outranked(child, ties):
+                    continue
                 kind = classify_child(child, n, nb)
                 if kind == _EXTEND:
                     canon = canonical_form(child)
                     if canon not in extended:
-                        extended[canon] = parse_graph6(canon)
+                        # n < 63: the form is one header byte and the body
+                        bits = _body_bits(canon[1:].encode(), n * (n - 1) // 2)
+                        extended[canon] = Graph(n, _rows_from_bits(n, bits))
                 elif kind == _EMIT:
                     emitted.add(canonical_form(child))
         parents = [extended[c] for c in sorted(extended)]

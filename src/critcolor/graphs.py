@@ -148,25 +148,39 @@ def parse_graph6(text: str | bytes, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         )
     if len(data) - start > nbytes:
         raise Graph6Error("trailing garbage after adjacency bits", start + nbytes)
-    rows = [0] * n
-    bit = 0  # position in the upper-triangle stream: (0,1),(0,2),(1,2),(0,3),...
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    for i in range(nbytes):
-        c = data[start + i]
+    body = data[start:]
+    for i, c in enumerate(body):
         if not 63 <= c <= 126:
             raise Graph6Error(f"character {c!r} outside graph6 range 63..126", start + i)
-        group = c - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise Graph6Error("nonzero padding bits", start + i)
-                continue
-            if group >> k & 1:
-                u, v = pairs[bit]
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-    return Graph(n, tuple(rows))
+    pad = 6 * nbytes - nbits
+    if nbytes and (body[-1] - 63) & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", start + nbytes - 1)
+    return Graph(n, _rows_from_bits(n, _body_bits(body, nbits)))
+
+
+def _body_bits(body: bytes, nbits: int) -> int:
+    """The upper-triangle bit-string of a graph6 body: six bits a byte, most
+    significant first, with the padding dropped.  Bytes are not checked."""
+    bits = 0
+    for c in body:
+        bits = bits << 6 | (c - 63)
+    return bits >> (6 * len(body) - nbits)
+
+
+def _rows_from_bits(n: int, bits: int) -> tuple[int, ...]:
+    """The adjacency rows of the n-vertex graph whose upper-triangle
+    bit-string is ``bits``, in the order ``_adjacency_bits`` writes.  The one
+    adjacency decoder of the package."""
+    rows = [0] * n
+    shift = n * (n - 1) // 2
+    for v in range(1, n):
+        shift -= v
+        # the pairs (0, v), ..., (v-1, v), read from the most significant bit
+        for b in iter_bits(bits >> shift & ((1 << v) - 1)):
+            u = v - 1 - b
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def _encode_graph6(n: int, bits: int) -> str:

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcolor.critical import CriticalDb, load_critdb, write_critdb
+from critcolor.critical import CriticalDb, criticality_report, load_critdb, write_critdb
 from critcolor.enumeration import (
     _EMIT,
     _EXTEND,
     _attach,
     _canonical_labeling,
     _critical_classifier,
+    _extend_all,
     _forbidden_traces,
     _orbit_reps,
     _refine,
     _trace_patterns,
+    _walk,
     canonical_form,
     enumerate_critical,
     enumerate_graphs,
@@ -257,6 +259,20 @@ def test_orbit_reps_of_a_random_group():
     assert_reps_partition(6, gens)
 
 
+@pytest.mark.parametrize("floor", [1, 2, 3, 5])
+def test_orbit_reps_above_a_floor_are_the_large_reps(floor):
+    rotation, reflection = [1, 2, 3, 4, 0], [0, 4, 3, 2, 1]
+    reps = list(_orbit_reps(5, [rotation, reflection]))
+    assert list(_orbit_reps(5, [rotation, reflection], floor)) == [r for r in reps if r.bit_count() >= floor]
+
+
+def test_orbit_reps_map_masks_past_the_low_byte():
+    # the dihedral group of an 11-cycle; Burnside: (2048 + 10*2 + 11*64) / 22
+    rotation = list(range(1, 11)) + [0]
+    reflection = [(11 - v) % 11 for v in range(11)]
+    assert len(assert_reps_partition(11, [rotation, reflection])) == 126
+
+
 def brute_count(n: int) -> int:
     keys = set()
     pairs = list(combinations(range(n), 2))
@@ -386,6 +402,70 @@ def test_parent_colouring_shortcut(monkeypatch):
     # at the last order colourable children are dropped, shortcut or not
     classify_last = _critical_classifier(complete_graph(3), 4, 4)
     assert classify_last(_attach(complete_graph(3), 3), 4, 3) is None
+
+
+# ---------------------------------------------------------------------------
+# the canonical-deletion rule of the level walk
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(n_max, family, classify):
+    """The level walk without the canonical-deletion rule: every orbit
+    representative that passes the traces is classified and canonicalised."""
+    trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
+    parents = [Graph(0, ())]
+    for n in range(1, n_max + 1):
+        extended, emitted = {}, set()
+        for parent in parents:
+            forbidden = _forbidden_traces(parent, trace_patterns)
+            classify_child = classify(parent)
+            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+                if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
+                    continue
+                child = _attach(parent, nb)
+                kind = classify_child(child, n, nb)
+                if kind == _EXTEND:
+                    canon = canonical_form(child)
+                    if canon not in extended:
+                        extended[canon] = parse_graph6(canon)
+                elif kind == _EMIT:
+                    emitted.add(canonical_form(child))
+        parents = [extended[c] for c in sorted(extended)]
+        yield n, parents, sorted(emitted)
+
+
+def test_the_rule_keeps_every_level_of_plain_enumeration():
+    got = [(n, [to_graph6(g) for g in level]) for n, level, _ in _walk(7, (), _extend_all)]
+    want = [(n, [to_graph6(g) for g in level]) for n, level, _ in reference_walk(7, (), _extend_all)]
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("family", FAMILIES, ids=",".join)
+def test_the_rule_keeps_every_critical_member(family, k):
+    specs = tuple(parse_pattern(t) for t in family)
+    classify = lambda parent: _critical_classifier(parent, k, 7)  # noqa: E731
+    got = list(_walk(7, specs, classify))
+    want = list(reference_walk(7, specs, classify))
+    assert len(got) == len(want) == 7
+    for (_, got_parents, got_emitted), (_, want_parents, want_emitted) in zip(got, want):
+        assert [to_graph6(g) for g in got_parents] == [to_graph6(g) for g in want_parents]
+        # only emitted children that are not critical may go missing
+        assert set(got_emitted) <= set(want_emitted)
+    members = [c for _, _, emitted in want for c in emitted if criticality_report(parse_graph6(c), k).verdict]
+    assert list(enumerate_critical(k, 7, specs).members) == members
+
+
+def test_the_rule_canonicalises_few_duplicates(monkeypatch):
+    import critcolor.enumeration as enumeration
+
+    calls = []
+    real = enumeration.canonical_form
+    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(g) or real(g))
+    graphs = list(enumerate_up_to(7))
+    assert len(graphs) == 1252
+    # each class was canonicalised about 4.6 times without the rule
+    assert len(calls) <= 1.5 * len(graphs)
 
 
 def test_canonical_form_under_many_permutations(petersen):

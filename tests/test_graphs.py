@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from critcolor.graphs import (
     Graph6Error,
+    _adjacency_bits,
+    _rows_from_bits,
     bits_of,
     closed_neighborhood,
     closed_set_neighborhood,
@@ -105,6 +107,11 @@ def test_graph6_round_trip(g):
 
 def test_graph6_accepts_bytes():
     assert parse_graph6(b"Ch") == P4
+
+
+@given(graphs(max_n=12))
+def test_rows_from_bits_inverts_adjacency_bits(g):
+    assert _rows_from_bits(g.n, _adjacency_bits(g.rows, range(g.n))) == g.rows
 
 
 # ---------------------------------------------------------------------------

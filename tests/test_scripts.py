@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from critcolor.critical import load_critdb
 from critcolor.enumeration import verify_critdb
 
@@ -32,3 +34,28 @@ def test_chi_bound_survey_runs():
     done = run_script("chi_bound_survey.py", "--ell", "1", "--clique", "3", "--n", "6")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("family: (P4+P1, K3)-free, n <= 6")
+
+
+@pytest.mark.parametrize(
+    "name,args,needle",
+    [
+        ("build_critdb.py", ["--k", "4", "--n", "11"], "enumeration limited to 1 <= n <= 10"),
+        ("build_critdb.py", ["--k", "0", "--n", "5"], "k must be at least 1"),
+        ("build_critdb.py", ["--k", "3", "--n", "5", "--free", "Q7"], "cannot parse pattern"),
+        ("chi_bound_survey.py", ["--n", "11"], "enumeration limited to 1 <= n <= 10"),
+        ("chi_bound_survey.py", ["--clique", "0"], "clique needs at least one vertex"),
+        ("chi_bound_survey.py", ["--ell", "-1"], "needs >= 1 isolated vertices"),
+    ],
+)
+def test_scripts_report_bad_arguments_without_a_traceback(name, args, needle):
+    done = run_script(name, *args)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and needle in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_build_critdb_reports_an_unwritable_output(tmp_path):
+    out = tmp_path / "missing" / "odd.critdb"
+    done = run_script("build_critdb.py", "--k", "3", "--n", "5", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 from . import chroma, construct, critical, enumeration
 from .cograph import (
     PairPreconditionError,
-    cograph_color,
     find_anticomplete_pair,
     recognize,
     render_cotree,

@@ -17,8 +17,6 @@ the closed form ell^(k-2) + 2*ell^(k-3) + ... + (k-2)*ell + (k-1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .chroma import Coloring, is_proper_coloring
 from .cograph import cograph_color, recognize
 from .graphs import Graph, induced_subgraph, iter_bits, mask_of

@@ -24,7 +24,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     _check_vertices,
-    bits_of,
     delete_vertex,
     induced_subgraph,
     is_independent,

@@ -21,9 +21,10 @@ graph: every n-vertex graph arises from some (n-1)-vertex graph by adding one
 vertex, so each level is generated by attaching a new vertex to each parent
 in every way, one neighbourhood per orbit of the parent's automorphism group
 (isomorph rejection as in McKay, "Isomorph-free exhaustive generation",
-1998: children from one orbit are isomorphic).  The group is the one the
-parent's canonical labelling found generators for, so the pruning stays
-exact even where those generate only a subgroup.
+1998: children from one orbit are isomorphic).  The generators are the
+automorphisms found by the parent's one canonical labelling, made when it
+was a child and carried into its canonical order, so the pruning stays exact
+even where they generate only a subgroup.
 
 Each class still turns up from many parents, so the walk also keeps a child
 only when its new vertex maximises the invariant (degree, sorted tuple of
@@ -70,7 +71,7 @@ coloured from scratch.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import chroma
 from .critical import CriticalDb, criticality_report, find_comparable_nonadjacent
@@ -78,7 +79,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     _adjacency_bits,
-    _body_bits,
     _encode_graph6,
     _rows_from_bits,
     delete_vertex,
@@ -87,9 +87,9 @@ from .graphs import (
     parse_graph6,
     without_vertex,
 )
-# find_induced_subgraph stays bound here: the benchmark's tracer tests wrap
-# and restore it in this namespace.
-from .patterns import PatternSpec, _induced_copies, find_induced_subgraph, is_free, realize  # noqa: F401
+from .patterns import PatternSpec, _induced_copies, is_free, realize
+# bound here for the benchmark's tracer tests, which wrap and restore it
+from .patterns import find_induced_subgraph  # noqa: F401
 
 MAX_CANONICAL_N = 16
 MAX_ENUMERATION_N = 10
@@ -151,12 +151,14 @@ def _orbit(v: int, gens: list[list[int]]) -> int:
     return orbit
 
 
-def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
-    """The least adjacency bit-string over all vertex orders compatible with
-    the refined degree partition, and the automorphisms found on the way (as
-    vertex maps; they generate a subgroup of Aut(g), usually all of it).  The
-    walk's orbit pruning and canonical-deletion rule use only these maps, so
-    both stay exact when they generate less than Aut(g)."""
+def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
+    """(bits, label, gens): the least adjacency bit-string over all vertex
+    orders compatible with the refined degree partition, the order ``label``
+    that gives it (``label[i]`` is the vertex at canonical position i), and
+    the automorphisms found on the way, as vertex maps of g; they generate a
+    subgroup of Aut(g), usually all of it.  The walk's orbit pruning and
+    canonical-deletion rule use only these maps, so both stay exact when they
+    generate less than Aut(g)."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
@@ -197,8 +199,8 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
             descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
 
     descend(cells, [], stable)
-    assert best_bits is not None
-    return best_bits, gens
+    assert best_bits is not None and best_label is not None
+    return best_bits, best_label, gens
 
 
 def canonical_form(g: Graph) -> str:
@@ -209,7 +211,7 @@ def canonical_form(g: Graph) -> str:
     return _encode_graph6(g.n, _canonical_labeling(g)[0])
 
 
-def _orbit_reps(n: int, gens: list[list[int]], floor: int = 0) -> Iterator[int]:
+def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[int]:
     """The least mask of each orbit of the group the vertex maps ``gens``
     generate, acting on the subsets of n vertices, ascending, over the masks
     of at least ``floor`` vertices.  A vertex map keeps the size of a
@@ -254,7 +256,7 @@ def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph,
     for f in filter_graphs:
         if f.n > n_max:
             continue
-        gens = _canonical_labeling(f)[1]
+        gens = _canonical_labeling(f)[2]
         for p in range(f.n):
             if not _orbit(p, gens) & ((1 << p) - 1):
                 out.append((delete_vertex(f, p), without_vertex(f.rows[p], p)))
@@ -308,11 +310,12 @@ def _walk(
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
-    parents = [Graph(0, ())]
+    parents, parent_gens = [Graph(0, ())], [()]
     for n in range(1, n_max + 1):
-        extended: dict[str, Graph] = {}
-        emitted: set[str] = set()
-        for parent in parents:
+        # canonical bit-string -> generators in canonical order (none at n_max)
+        extended: dict[int, Sequence[list[int]]] = {}
+        emitted: set[int] = set()
+        for parent, gens in zip(parents, parent_gens):
             forbidden = _forbidden_traces(parent, trace_patterns)
             classify_child = classify(parent)
             by_degree: dict[int, int] = {}  # degree -> mask of the parent's vertices
@@ -320,7 +323,7 @@ def _walk(
                 deg = row.bit_count()
                 by_degree[deg] = by_degree.get(deg, 0) | 1 << u
             top = max(by_degree, default=0)
-            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1], top):
+            for nb in _orbit_reps(parent.n, gens, top):
                 if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
                     continue
                 # the new vertex has degree d >= top; a parent vertex of degree
@@ -333,16 +336,17 @@ def _walk(
                 if ties and _outranked(child, ties):
                     continue
                 kind = classify_child(child, n, nb)
-                if kind == _EXTEND:
-                    canon = canonical_form(child)
-                    if canon not in extended:
-                        # n < 63: the form is one header byte and the body
-                        bits = _body_bits(canon[1:].encode(), n * (n - 1) // 2)
-                        extended[canon] = Graph(n, _rows_from_bits(n, bits))
-                elif kind == _EMIT:
-                    emitted.add(canonical_form(child))
-        parents = [extended[c] for c in sorted(extended)]
-        yield n, parents, sorted(emitted)
+                if kind == _EMIT:
+                    emitted.add(_canonical_labeling(child)[0])
+                elif kind == _EXTEND:
+                    bits, label, child_gens = _canonical_labeling(child)
+                    if bits not in extended:
+                        pos = sorted(range(n), key=label.__getitem__)  # label's inverse
+                        extended[bits] = [[pos[p[v]] for v in label] for p in child_gens] if n < n_max else ()
+        order = sorted(extended)  # at one order the bit-strings sort as the graph6 texts
+        parents = [Graph(n, _rows_from_bits(n, bits)) for bits in order]
+        parent_gens = [extended[bits] for bits in order]
+        yield n, parents, [_encode_graph6(n, bits) for bits in sorted(emitted)]
 
 
 def _always_extend(child: Graph, n: int, nb: int) -> str:

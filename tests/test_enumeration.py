@@ -118,7 +118,7 @@ def test_critdb_saved_by_earlier_code_still_verifies():
     assert write_critdb(db) == saved.read_text()
 
 
-def reference_canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
+def reference_canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     """The labelling search as it stood before vertex orbits became masks:
     one breadth-first search per pair of siblings, over the generators that
     fix the vertices fixed so far."""
@@ -178,7 +178,7 @@ def reference_canonical_labeling(g: Graph) -> tuple[int, list[list[int]]]:
             descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
 
     descend(cells, [], stable)
-    return best_bits, gens
+    return best_bits, best_label, gens
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,7 +356,7 @@ def test_forbidden_traces_reject_exactly_the_children_containing_the_family(fami
     rejected = 0
     for parent in [Graph(0, ())] + list(enumerate_up_to(6, filters=specs)):
         forbidden = _forbidden_traces(parent, trace_patterns)
-        for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+        for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[2]):
             hit = any(nb & s in traces for s, traces in forbidden.items())
             assert hit == (not is_free(_attach(parent, nb), specs)[0]), (to_graph6(parent), nb)
             rejected += hit
@@ -419,7 +419,7 @@ def reference_walk(n_max, family, classify):
         for parent in parents:
             forbidden = _forbidden_traces(parent, trace_patterns)
             classify_child = classify(parent)
-            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[1]):
+            for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[2]):
                 if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
                     continue
                 child = _attach(parent, nb)
@@ -460,12 +460,55 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
     import critcolor.enumeration as enumeration
 
     calls = []
-    real = enumeration.canonical_form
-    monkeypatch.setattr(enumeration, "canonical_form", lambda g: calls.append(g) or real(g))
+    real = enumeration._canonical_labeling
+    monkeypatch.setattr(enumeration, "_canonical_labeling", lambda g: calls.append(g) or real(g))
     graphs = list(enumerate_up_to(7))
     assert len(graphs) == 1252
-    # each class was canonicalised about 4.6 times without the rule
-    assert len(calls) <= 1.5 * len(graphs)
+    # one labelling per classified child (1,300 for 1,252 classes), none per
+    # parent; each class was labelled about 4.6 times without the rule
+    assert len(calls) == 1300
+    calls.clear()
+    db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
+    assert len(db.members) == 9
+    # 711 classified children and the family graph P4+P1
+    assert len(calls) == 712
+
+
+@pytest.mark.parametrize("n_max, family, classify", [
+    (7, (), _extend_all),
+    (8, (parse_pattern("P4+P1"),), lambda parent: _critical_classifier(parent, 4, 8)),
+], ids=["plain", "critical"])
+def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch, n_max, family, classify):
+    import critcolor.enumeration as enumeration
+
+    # _forbidden_traces runs once per parent, just before its orbit reps
+    parent_of = []
+    real_traces, real_reps = enumeration._forbidden_traces, enumeration._orbit_reps
+
+    def traces(parent, trace_patterns):
+        parent_of.append(parent)
+        return real_traces(parent, trace_patterns)
+
+    checked = []
+
+    def orbit_reps(n, gens, floor=0):
+        parent = parent_of[-1]
+        assert parent.n == n and canonical_form(parent) == to_graph6(parent)
+        for p in gens:
+            assert sorted(p) == list(range(n))
+            for u in range(n):
+                assert sum(1 << p[w] for w in range(n) if parent.rows[u] >> w & 1) == parent.rows[p[u]]
+        checked.append((parent, len(gens)))
+        return real_reps(n, gens, floor)
+
+    monkeypatch.setattr(enumeration, "_forbidden_traces", traces)
+    monkeypatch.setattr(enumeration, "_orbit_reps", orbit_reps)
+    levels = list(_walk(n_max, family, classify))
+    parents = [Graph(0, ())] + [g for _, level, _ in levels[:-1] for g in level]
+    assert [g for g, _ in checked] == parents
+    assert len(checked) == {7: 209, 8: 522}[n_max]
+    # the maps are not all trivial: the pruning has groups to work with
+    assert sum(count for _, count in checked) > len(checked)
 
 
 def test_canonical_form_under_many_permutations(petersen):

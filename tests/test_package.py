@@ -63,3 +63,48 @@ def private_helpers_without_callers(package_dir: Path) -> list[str]:
 
 def test_every_private_helper_is_used_elsewhere_in_the_package():
     assert private_helpers_without_callers(Path(critcolor.__file__).parent) == []
+
+
+def unused_imports(package_dir: Path) -> list[str]:
+    """Names imported by a module of the package (``__init__`` aside) that
+    the module never reads.  ``from __future__`` imports and lines marked
+    ``# noqa: F401`` are exempt."""
+    unused = []
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{name}")
+    return unused
+
+
+def test_unused_imports_finds_what_a_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import (\n"
+        "    Optional,\n"
+        "    Sequence,\n"
+        ")\n"
+        "from sys import argv  # noqa: F401\n"
+        "def f(x: Optional[int]) -> None:\n"
+        "    os.path.join('a')\n"
+    )
+    assert unused_imports(tmp_path) == ["mod.py:j", "mod.py:Sequence"]
+
+
+def test_every_import_is_read_by_its_module():
+    assert unused_imports(Path(critcolor.__file__).parent) == []

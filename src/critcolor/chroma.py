@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, complement, iter_bits
+from .graphs import Graph, complement
 
 
 class BudgetExhausted(RuntimeError):
@@ -161,12 +161,19 @@ def is_k_colorable(
         free = ~seen[v] & ((2 << used) - 2)  # open colours no neighbour has
         if used < k:
             free |= 2 << used
-        for c in iter_bits(free):
+        # the bit loops are inlined: this is the hot path of every colouring
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
             fresh = c > used
             colour_of[v] = c
             class_masks[c] |= 1 << v
-            for u in iter_bits(rows[v]):
-                seen[u] |= 1 << c
+            nbrs = rows[v]
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                seen[low.bit_length() - 1] |= bit
             if fresh:
                 used += 1
             if solve():
@@ -174,9 +181,13 @@ def is_k_colorable(
             if fresh:
                 used -= 1
             class_masks[c] ^= 1 << v
-            for u in iter_bits(rows[v]):
+            nbrs = rows[v]
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                u = low.bit_length() - 1
                 if not rows[u] & class_masks[c]:
-                    seen[u] &= ~(1 << c)
+                    seen[u] &= ~bit
             colour_of[v] = 0
         return False
 

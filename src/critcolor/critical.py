@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Union as TUnion
 
@@ -259,6 +260,12 @@ class CriticalDb:
     family: tuple[PatternSpec, ...]
     members: tuple[str, ...]
 
+    @cached_property
+    def member_graphs(self) -> tuple[Graph, ...]:
+        """The members as graphs, parsed on first use and kept with the
+        database."""
+        return tuple(parse_graph6(text) for text in self.members)
+
 
 def write_critdb(db: CriticalDb) -> str:
     """The file text of a database.  Raises ValueError for a family member
@@ -346,8 +353,7 @@ def certify_k_colorable(
     ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
-    for i, text in enumerate(db.members):
-        member = parse_graph6(text)
+    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
         emb = find_induced_subgraph(g, member, counter)
         if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
             return CriticalWitness(i, text, emb)

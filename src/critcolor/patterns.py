@@ -189,23 +189,67 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple, tuple, tup
     """Fix the vertex-pairing order (highest degree first) and precompute,
     for each position in it, the constraints on its image as ``(earlier
     position, kind)`` pairs: adjacency to every earlier position, and for
-    first-copy searches also ``_ABOVE`` the last earlier position holding a
-    twin (the same neighbours apart from each other).  Also the degrees."""
+    first-copy searches also one lex-leader constraint.  Also the degrees.
+
+    The lex-leader rule: the image of position j lies ``_ABOVE`` that of
+    every earlier position i whose orbit under the automorphisms fixing
+    positions 0..i-1 contains j.  Only the last such i is kept.  For i < i'
+    that both qualify, j is in the orbit of i' under the automorphisms
+    fixing 0..i-1 as well; orbits do not overlap, so i' is in the orbit of
+    i, lies above it, and the kept constraint implies the others (K_k and l
+    isolated vertices get one ascending chain).  See ``_induced_copies`` for
+    why the first copy meets every constraint.
+    """
     order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)))
     rows = pattern.rows
     every = tuple(
         tuple((j, _ADJACENT if rows[p] >> order[j] & 1 else _NONADJACENT) for j in range(i))
         for i, p in enumerate(order)
     )
+    orbits = _stabiliser_orbits(pattern, order, every)
     first = tuple(
-        steps + tuple(
-            (j, _ABOVE) for j in reversed(range(i))
-            if rows[p] & ~(1 << order[j]) == rows[order[j]] & ~(1 << p)
-        )[:1]
-        for i, (p, steps) in enumerate(zip(order, every))
+        steps + tuple((i, _ABOVE) for i in reversed(range(j)) if orbits[i] >> j & 1)[:1]
+        for j, steps in enumerate(every)
     )
     degs = tuple(pattern.degree(v) for v in order)
     return order, every, first, degs
+
+
+def _stabiliser_orbits(pattern: Graph, order: tuple[int, ...], every: tuple) -> list[int]:
+    """For each position i of the pairing order, the mask of later positions
+    j that some automorphism of the pattern maps position i onto while it
+    fixes positions 0..i-1: a search of the pattern into itself with that
+    prefix pinned, one per pair, which stops at the first automorphism.  It
+    never lists the group (K_k alone has k! automorphisms)."""
+    rows = pattern.rows
+    masks = ([~r for r in rows], rows)
+    n = pattern.n
+    full = (1 << n) - 1
+    images: list[int] = []
+
+    def extend(cand: int, used: int) -> bool:
+        t = len(images)
+        if t == n:
+            return True
+        for s, kind in every[t]:
+            cand &= masks[kind][images[s]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            images.append(low.bit_length() - 1)
+            if extend(full & ~(used | low), used | low):
+                return True
+            images.pop()
+        return False
+
+    orbits = [0] * n
+    for i in range(n):
+        fixed = sum(1 << v for v in order[:i])
+        for j in range(i + 1, n):
+            images[:] = order[:i]
+            if extend(1 << order[j], fixed):
+                orbits[i] |= 1 << j
+    return orbits
 
 
 def _induced_copies(
@@ -220,13 +264,16 @@ def _induced_copies(
     lexicographically in the images taken in pairing order.  Each placement
     of a pattern vertex spends one node of the budget.
 
-    With ``first``, a pattern vertex must also sit above the image of the
-    last earlier twin of it.  Swapping the images of two twins gives another
-    induced copy, smaller in that order when the earlier twin's image is the
-    larger; so the least copy, which is the first one, meets every such
-    constraint and is still found, while the reorderings of interchangeable
-    pattern vertices (k! for a clique K_k, l! for l isolated vertices) are
-    not tried.  Listing every copy needs them all and skips the constraint.
+    With ``first``, the lex-leader constraints of ``_compile_pattern`` skip
+    copies that a pattern automorphism maps onto a smaller one.  Let an
+    automorphism fix positions 0..i-1 and map position i onto j.  Composing a
+    copy with it gives another copy that agrees below position i and holds
+    the image of j at position i; when that image is below the image of i,
+    the new copy is smaller.  So in the least copy, which is the first one,
+    the image of j lies above that of i for every such pair: it meets every
+    constraint and is still found, while the symmetric placements (k!
+    orderings of a clique K_k, both directions of a path) are not tried.
+    Listing every copy needs them all and skips the constraints.
     """
     if pattern.n > host.n:
         return []
@@ -252,6 +299,10 @@ def _induced_copies(
         for j, kind in steps[i]:
             cand &= masks[kind][images[j]]
         need = pat_deg[i]
+        if not need and cand.bit_count() <= last - i:
+            # degree 0 comes last in the pairing order: this image and every
+            # later one are distinct vertices of cand
+            return False
         while cand:
             low = cand & -cand
             h = low.bit_length() - 1
@@ -288,10 +339,10 @@ def find_induced_subgraph(
 
     Pattern vertices are paired off highest degree first and host candidates
     tried in ascending index, so the embedding returned is the least one
-    under that fixed order.  Twins of the pattern are placed in ascending
-    host order only, which skips their reorderings but never the least
-    embedding (see ``_induced_copies``).  The result is re-checked before it
-    is returned.
+    under that fixed order.  Lex-leader constraints from the pattern's
+    automorphisms skip every placement that a symmetry of the pattern maps
+    onto a smaller one, and never the least embedding (see
+    ``_induced_copies``).  The result is re-checked before it is returned.
     ``budget`` caps the placements tried, as a node count or a counter
     shared with other searches.
     """

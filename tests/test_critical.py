@@ -391,6 +391,22 @@ def test_certify_falls_back_to_extraction_on_incomplete_db():
     assert embedding_is_induced(C5, sub, out.embedding)
 
 
+def test_certify_parses_the_database_members_once(monkeypatch):
+    import critcolor.critical as critical
+
+    db = make_db()
+    parsed = []
+    real = critical.parse_graph6
+    monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
+    first = certify_k_colorable(C5, 3, db)
+    assert parsed == list(db.members)
+    parsed.clear()
+    assert certify_k_colorable(C5, 3, db) == first
+    assert parsed == []
+    # the parsed members are no part of the database's value
+    assert db == make_db() and hash(db) == hash(make_db())
+
+
 def test_certify_skips_colourable_database_members():
     # P3 mislabelled as 4-critical embeds in C5 but is no witness against
     # 3-colourability

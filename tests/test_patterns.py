@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,10 @@ from critcolor.patterns import (
     Embedding,
     PatternSpec,
     PatternViolation,
+    _ABOVE,
+    _compile_pattern,
     _induced_copies,
+    _stabiliser_orbits,
     broom,
     broomplus,
     clique,
@@ -330,8 +334,9 @@ def test_exhaustive_small_hosts_against_brute_force():
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=6), st.sampled_from(
     [path(1), path(3), path(4), clique(3), TWO_P2, plus_isolated(path(3), 1), CHAIR,
-     # twin-rich: the first copy is searched with twins in ascending order
-     clique(4), star(3), cycle(4), plus_isolated(path(4), 2), parse_pattern("3P1")]))
+     # symmetric: the first copy is searched under lex-leader constraints
+     clique(4), star(3), cycle(4), plus_isolated(path(4), 2), parse_pattern("3P1"),
+     path(5), cycle(5), BULL, GEM, plus_isolated(path(4), 1)]))
 def test_induced_copies_are_every_induced_embedding(host, spec):
     pattern = realize(spec)
     copies = _induced_copies(host, pattern)
@@ -355,8 +360,8 @@ def test_pattern_search_spends_its_budget():
     assert find_induced_subgraph(k444, k4) is None
     with pytest.raises(BudgetExhausted):
         find_induced_subgraph(k444, k4, budget=1)
-    # twins go in ascending order: 12 + 48 + 64 placements of K1, K2, K3;
-    # trying every ordering of them would take 492
+    # a clique goes in ascending order: 12 + 48 + 64 placements of K1, K2,
+    # K3; trying every ordering of them would take 492
     assert find_induced_subgraph(k444, k4, budget=124) is None
     # one node per placement: the first copy of P3 in C5 takes three
     assert find_induced_subgraph(C5, realize(path(3)), budget=3) is not None
@@ -372,6 +377,82 @@ def test_pattern_search_spends_its_budget():
     assert is_free(k444, [clique(4), path(4)], sum(spent))[0]
     with pytest.raises(BudgetExhausted):
         is_free(k444, [clique(4), path(4)], max(spent))
+
+
+def test_first_copy_search_breaks_the_end_swap_of_the_path(petersen):
+    # the Petersen graph has no induced P4+2P1; the path's ends go in
+    # ascending order, so the search takes 115 placements, where breaking
+    # only twin swaps (the two isolated vertices) took 340
+    p4_2p1 = realize(plus_isolated(path(4), 2))
+    assert find_induced_subgraph(petersen, p4_2p1, budget=115) is None
+    with pytest.raises(BudgetExhausted):
+        find_induced_subgraph(petersen, p4_2p1, budget=114)
+
+
+def _brute_force_orbits(pattern, order):
+    """The stabiliser orbits of _stabiliser_orbits, from every automorphism."""
+    autos = [
+        s for s in permutations(range(pattern.n))
+        if all(pattern.has_edge(s[u], s[v]) for u, v in pattern.edges())
+    ]
+    position = {v: i for i, v in enumerate(order)}
+    orbits = []
+    for i, v in enumerate(order):
+        images = {s[v] for s in autos if all(s[u] == u for u in order[:i])}
+        orbits.append(sum(1 << position[u] for u in images if u != v))
+    return orbits
+
+
+def _symmetry_test_patterns():
+    from critcolor.enumeration import enumerate_critical
+    from critcolor.graphs import parse_graph6
+
+    specs = [path(n) for n in range(1, 7)] + [clique(n) for n in range(1, 6)]
+    specs += [cycle(n) for n in range(3, 8)] + [star(m) for m in range(7)]
+    specs += [broom(n, m) for n in range(2, 8) for m in range(8 - n)]
+    specs += [broomplus(m) for m in range(3)] + [CHAIR, BULL, CRICKET, GEM, TWO_P2]
+    specs += [parse_pattern("3P1")] + [plus_isolated(path(4), ell) for ell in (1, 2, 3)]
+    members = [parse_graph6(text) for text in enumerate_critical(4, 7).members]
+    assert len(members) == 9
+    return [realize(spec) for spec in specs] + members
+
+
+def test_stabiliser_orbits_match_brute_force():
+    for pattern in _symmetry_test_patterns():
+        order, every, first, _ = _compile_pattern(pattern)
+        orbits = _stabiliser_orbits(pattern, order, every)
+        assert orbits == _brute_force_orbits(pattern, order)
+        for j, steps in enumerate(first):
+            sources = [i for i in range(j) if orbits[i] >> j & 1]
+            assert [i for i, kind in steps if kind == _ABOVE] == sources[-1:]
+            # the kept constraint implies the others: the sources form a chain
+            assert all(orbits[a] >> b & 1 for a, b in zip(sources, sources[1:]))
+
+
+def _above(spec):
+    """The positions each position's image must lie above, by position."""
+    first = _compile_pattern(realize(spec))[2]
+    return [tuple(i for i, kind in steps if kind == _ABOVE) for steps in first]
+
+
+def test_lex_leader_constraints_of_named_patterns():
+    # pairing order (1, 2, 0, 3): the path's middle, then its ends
+    assert _above(path(4)) == [(), (0,), (), ()]
+    assert _above(plus_isolated(path(4), 3)) == [(), (0,), (), (), (), (4,), (5,)]
+    assert _above(path(5)) == [(), (), (0,), (), ()]
+    # C5: rotations put every position above the first, the reflection
+    # fixing vertex 0 puts vertex 4 above vertex 1
+    assert _above(cycle(5)) == [(), (0,), (0,), (0,), (1,)]
+    assert _above(clique(4)) == [(), (0,), (1,), (2,)]
+
+
+def test_compiling_a_large_clique_is_cheap():
+    # the orbits come from one pinned search per pair of positions, never
+    # from the 12! automorphisms of K12
+    start = time.perf_counter()
+    _compile_pattern.__wrapped__(realize(clique(12)))
+    assert time.perf_counter() - start < 1.0
+    assert _above(clique(12)) == [()] + [(i,) for i in range(11)]
 
 
 # ---------------------------------------------------------------------------

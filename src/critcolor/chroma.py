@@ -41,35 +41,29 @@ def is_proper_coloring(g: Graph, col: Coloring) -> bool:
 
 
 class _Budget:
-    """A node counter.  One counter is shared by every search of a top-level
-    call: the ``budget`` parameters take either a node count or a counter."""
+    """A countdown of search nodes, and the one statement of the ``budget``
+    contract: every ``budget`` parameter takes None (no cap), a node count,
+    or a ``_Budget`` that several calls spend from together.  A search that
+    completes with n nodes takes exactly n from a shared counter."""
 
     __slots__ = ("left",)
 
-    def __init__(self, budget: Optional[int]):
-        self.left = budget
-
-    @staticmethod
-    def shared(budget: Optional[int | _Budget]) -> _Budget:
-        return budget if isinstance(budget, _Budget) else _Budget(budget)
-
-    @staticmethod
-    def capped(budget: Optional[int | _Budget]) -> Optional[_Budget]:
-        """The shared counter, or None when nothing caps the search, so that
-        uncapped searches skip the bookkeeping."""
-        if budget is None:
-            return None
-        counter = _Budget.shared(budget)
-        return None if counter.left is None else counter
+    def __init__(self, left: int):
+        self.left = left
 
     def spend(self) -> None:
-        if self.left is not None:
-            self.left -= 1
-            if self.left < 0:
-                raise BudgetExhausted("budget exhausted")
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExhausted("budget exhausted")
 
 
-def _max_clique(g: Graph, counter: _Budget) -> int:
+def _counter(budget: Optional[int | _Budget]) -> Optional[_Budget]:
+    """The counter a ``budget`` names: None, a shared counter as it is, or
+    a fresh one for a node count.  No other code makes a counter."""
+    return budget if budget is None or isinstance(budget, _Budget) else _Budget(budget)
+
+
+def _max_clique(g: Graph, counter: Optional[_Budget]) -> int:
     """A maximum clique as a vertex mask (0 for the empty graph), by branch
     and bound with a greedy colouring bound."""
     if g.n == 0:
@@ -95,7 +89,8 @@ def _max_clique(g: Graph, counter: _Budget) -> int:
 
     def expand(size: int, cand: int, chosen: int) -> None:
         nonlocal best, best_set
-        counter.spend()
+        if counter is not None:
+            counter.spend()
         order = greedy_color_order(cand)
         for v, bound in reversed(order):
             if size + bound <= best:
@@ -112,8 +107,8 @@ def _max_clique(g: Graph, counter: _Budget) -> int:
 
 
 def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
-    """Largest clique size, by branch and bound with a greedy colouring bound."""
-    return _max_clique(g, _Budget.shared(budget)).bit_count()
+    """Largest clique size.  ``budget`` caps the search (see ``_Budget``)."""
+    return _max_clique(g, _counter(budget)).bit_count()
 
 
 def independence_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
@@ -132,6 +127,7 @@ def is_k_colorable(
     fresh colour last and only while fewer than k are open.  Colour classes
     appear in first-use order and the result is deterministic.  With k >= n
     the search never backtracks: its one descent is the DSATUR greedy.
+    ``budget`` caps the search nodes (see ``_Budget``).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -139,7 +135,7 @@ def is_k_colorable(
         return Coloring(0, ())
     if k == 0:
         return None
-    counter = _Budget.shared(budget)
+    counter = _counter(budget)
     rows = g.rows
     n = g.n
     k = min(k, n)  # a colouring never opens more colours than vertices
@@ -151,7 +147,8 @@ def is_k_colorable(
 
     def solve() -> bool:
         nonlocal used
-        counter.spend()
+        if counter is not None:
+            counter.spend()
         v = sat = -1
         for u in order:
             if not colour_of[u] and seen[u].bit_count() > sat:
@@ -203,7 +200,7 @@ def chromatic_number(
 
     Seeded below by the clique number and above by the DSATUR greedy (the
     decision search with k = n, which spends no budget), then closed by the
-    backtracking decision search.  The other sub-searches share one budget.
+    backtracking decision search.  The others share one ``_Budget``.
     """
     chi, col, _ = _chromatic(g, budget)
     return chi, col
@@ -214,14 +211,14 @@ def _chromatic(
 ) -> tuple[int, Coloring, int]:
     """``chromatic_number``'s answer and the maximum clique, as a vertex
     mask, whose size is its lower bound."""
-    budget = _Budget.shared(budget)
-    clique = _max_clique(g, budget)
+    counter = _counter(budget)
+    clique = _max_clique(g, counter)
     lower = clique.bit_count()
     greedy = is_k_colorable(g, g.n)
     if greedy.palette_size == lower:
         return lower, greedy, clique
     for k in range(lower, greedy.palette_size):
-        col = is_k_colorable(g, k, budget)
+        col = is_k_colorable(g, k, counter)
         if col is not None:
             return col.palette_size, col, clique
     return greedy.palette_size, greedy, clique

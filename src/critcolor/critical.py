@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Union as TUnion
@@ -60,17 +60,17 @@ class CritReport:
     verdict: bool
 
 
-def criticality_report(g: Graph, k: int, budget: Optional[int] = None) -> CritReport:
+def criticality_report(g: Graph, k: int, budget: Optional[int | chroma._Budget] = None) -> CritReport:
     """The report of g against k.
 
     One chromatic-number search gives chi, a chi-colouring and a maximum
     clique; each per-vertex chromatic number, chi - 1 or chi, is then
     decided by ``_keeps_chi``, often with no search at all.  ``budget``
-    caps the search nodes of the whole report together.
+    caps the search nodes of the whole report (see ``chroma._Budget``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    counter = chroma._Budget(budget)
+    counter = chroma._counter(budget)
     chi, col, clique = chroma._chromatic(g, counter)
     classes = [mask_of(c) for c in col.classes()]
     per_vertex = tuple(
@@ -82,7 +82,7 @@ def criticality_report(g: Graph, k: int, budget: Optional[int] = None) -> CritRe
 
 
 def _keeps_chi(
-    g: Graph, v: int, chi: int, classes: list[int], clique: int, counter: chroma._Budget
+    g: Graph, v: int, chi: int, classes: list[int], clique: int, counter: Optional[chroma._Budget]
 ) -> bool:
     """Whether chi(g - v) = chi rather than chi - 1, given chi = chi(g) > 0,
     the colour classes of a chi-colouring of g and a clique of g (masks).
@@ -114,14 +114,14 @@ def _keeps_chi(
 
 
 def _extract_with_kept(
-    g: Graph, k: int, budget: Optional[chroma._Budget] = None
+    g: Graph, k: int, budget: Optional[int | chroma._Budget] = None
 ) -> tuple[Graph, tuple[int, ...]]:
     """Delete the least-indexed vertex whose deletion keeps chi >= k while
     there is one.  While chi > k every deletion qualifies; at chi = k,
     ``_keeps_chi`` decides, and the colouring and clique carry over."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    counter = chroma._Budget.shared(budget)
+    counter = chroma._counter(budget)
     chi, col, clique = chroma._chromatic(g, counter)
     if chi < k:
         raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
@@ -254,16 +254,22 @@ def antichain_check(g: Graph, s: Iterable[int], u: Iterable[int]) -> bool:
 @dataclass(frozen=True)
 class CriticalDb:
     """All k-vertex-critical graphs of a family up to some order, stored as
-    canonical graph6 strings (string equality is isomorphism equality)."""
+    canonical graph6 strings (string equality is isomorphism equality);
+    ``graphs`` hands over the members already parsed, if a caller has them."""
 
     k: int
     family: tuple[PatternSpec, ...]
     members: tuple[str, ...]
+    graphs: InitVar[Optional[tuple[Graph, ...]]] = None
+
+    def __post_init__(self, graphs: Optional[tuple[Graph, ...]]) -> None:
+        if graphs is not None:
+            object.__setattr__(self, "member_graphs", graphs)  # fills the cache
 
     @cached_property
     def member_graphs(self) -> tuple[Graph, ...]:
-        """The members as graphs, parsed on first use and kept with the
-        database."""
+        """The members as graphs, parsed on first use (unless handed over)
+        and kept with the database."""
         return tuple(parse_graph6(text) for text in self.members)
 
 
@@ -301,14 +307,13 @@ def parse_critdb(text: str) -> CriticalDb:
         family = tuple(parse_pattern(t) for t in re.split(r",(?![^(]*\))", fields["family"]) if t)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from exc
-    members = []
+    graphs = []
     for i, line in lines[1:]:
         try:
-            parse_graph6(line)
+            graphs.append(parse_graph6(line))
         except Graph6Error as exc:
             raise ValueError(f"line {i}: {exc}") from exc
-        members.append(line)
-    return CriticalDb(k, family, tuple(members))
+    return CriticalDb(k, family, tuple(line for _, line in lines[1:]), tuple(graphs))
 
 
 def load_critdb(path: str) -> CriticalDb:
@@ -334,7 +339,7 @@ class CriticalWitness:
 
 
 def certify_k_colorable(
-    g: Graph, k: int, db: CriticalDb, budget: Optional[int] = None
+    g: Graph, k: int, db: CriticalDb, budget: Optional[int | chroma._Budget] = None
 ) -> TUnion[Coloring, CriticalWitness]:
     """Decide k-colourability against a database of (k+1)-critical graphs.
 
@@ -345,11 +350,11 @@ def certify_k_colorable(
     it really is not k-colourable.  If the database is incomplete and
     neither branch fires, a fresh (k+1)-critical subgraph is extracted and
     returned as the witness.  ``budget`` caps the pattern and colouring
-    search nodes of the whole call.
+    search nodes of the whole call (see ``chroma._Budget``).
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
-    counter = chroma._Budget(budget)
+    counter = chroma._counter(budget)
     ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])

@@ -70,7 +70,6 @@ coloured from scratch.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import chroma
@@ -422,13 +421,13 @@ def enumerate_critical(
     if k < 1:
         raise ValueError("k must be at least 1")
     family = tuple(family)
-    members = [
-        canon
-        for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max))
-        for canon in emitted
-        if criticality_report(parse_graph6(canon), k).verdict
-    ]
-    return CriticalDb(k, family, tuple(members))
+    members: dict[str, Graph] = {}
+    for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max)):
+        for canon in emitted:
+            g = parse_graph6(canon)
+            if criticality_report(g, k).verdict:
+                members[canon] = g
+    return CriticalDb(k, family, tuple(members), tuple(members.values()))
 
 
 def verify_critdb(db: CriticalDb) -> bool:
@@ -447,9 +446,9 @@ def verify_critdb(db: CriticalDb) -> bool:
     return True
 
 
-def ingest_graph6_stream(lines: Iterable[str], strict: bool = True) -> Iterator[Graph]:
-    """Parse a graph6 line stream.  Malformed lines raise (strict) or are
-    reported as warnings and skipped, always naming the line number."""
+def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
+    """Parse a graph6 line stream, skipping blank lines.  A malformed line
+    raises ValueError naming its line number."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -457,6 +456,4 @@ def ingest_graph6_stream(lines: Iterable[str], strict: bool = True) -> Iterator[
         try:
             yield parse_graph6(line)
         except Graph6Error as exc:
-            if strict:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            warnings.warn(f"skipping malformed graph6 at line {lineno}: {exc}")
+            raise ValueError(f"line {lineno}: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .chroma import _Budget
+from .chroma import _Budget, _counter
 from .graphs import Graph, disjoint_union, from_edges
 
 _SIMPLE_KINDS = {"chair", "bull", "cricket", "gem"}
@@ -286,7 +286,7 @@ def _induced_copies(
         steps, masks = first_steps, (co_rows, rows, [-(2 << h) for h in range(host.n)])
     else:
         steps, masks = every, (co_rows, rows)
-    counter = _Budget.capped(budget)
+    counter = _counter(budget)
     host_full = (1 << host.n) - 1
     last = pattern.n - 1
     images = [0] * pattern.n
@@ -343,8 +343,7 @@ def find_induced_subgraph(
     automorphisms skip every placement that a symmetry of the pattern maps
     onto a smaller one, and never the least embedding (see
     ``_induced_copies``).  The result is re-checked before it is returned.
-    ``budget`` caps the placements tried, as a node count or a counter
-    shared with other searches.
+    ``budget`` caps the placements tried (see ``chroma._Budget``).
     """
     copies = _induced_copies(host, pattern, budget, first=True)
     if not copies:
@@ -366,8 +365,8 @@ def is_free(
     host: Graph, family: Iterable[PatternSpec], budget: Optional[int | _Budget] = None
 ) -> tuple[bool, Optional[tuple[PatternSpec, Embedding]]]:
     """Check the host against every pattern; stop at the first hit.  The
-    searches share one ``budget``."""
-    counter = _Budget.shared(budget)
+    searches share one ``budget`` (see ``chroma._Budget``)."""
+    counter = _counter(budget)
     for spec in family:
         emb = find_induced(host, spec, counter)
         if emb is not None:

@@ -8,6 +8,7 @@ from critcolor.chroma import (
     BudgetExhausted,
     Coloring,
     _Budget,
+    _counter,
     chromatic_number,
     clique_number,
     independence_number,
@@ -213,7 +214,7 @@ def reference_is_k_colorable(g: Graph, k: int, budget=None) -> Optional[Coloring
         return Coloring(0, ())
     if k == 0:
         return None
-    counter = _Budget.shared(budget)
+    counter = _counter(budget)
     rows = g.rows
     n = g.n
     degs = [g.degree(v) for v in range(n)]
@@ -243,7 +244,8 @@ def reference_is_k_colorable(g: Graph, k: int, budget=None) -> Optional[Coloring
 
     def solve() -> bool:
         nonlocal used
-        counter.spend()
+        if counter is not None:
+            counter.spend()
         picked = pick()
         if picked is None:
             return True

@@ -1,12 +1,13 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critcolor import chroma
-from critcolor.chroma import Coloring, chromatic_number, is_k_colorable, is_proper_coloring
+from critcolor.chroma import Coloring, _Budget, chromatic_number, is_k_colorable, is_proper_coloring
 from critcolor.enumeration import enumerate_critical, enumerate_graphs, enumerate_up_to
 from critcolor.critical import (
     _extract_with_kept,
@@ -48,6 +49,9 @@ from critcolor.patterns import (
 
 from conftest import graphs, random_graph
 from oracles import naive_chromatic, naive_is_isomorphic, naive_is_k_colorable
+from test_chroma import least_budget, nodes_spent
+
+CRITDB_K4_P4P1 = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -405,6 +409,37 @@ def test_certify_parses_the_database_members_once(monkeypatch):
     assert parsed == []
     # the parsed members are no part of the database's value
     assert db == make_db() and hash(db) == hash(make_db())
+
+
+def test_a_loaded_database_parses_each_member_once(monkeypatch):
+    import critcolor.critical as critical
+
+    parsed = []
+    real = critical.parse_graph6
+    monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
+    db = load_critdb(str(CRITDB_K4_P4P1))
+    assert isinstance(certify_k_colorable(C5, 3, db), Coloring)
+    assert len(db.members) == 9 and parsed == list(db.members)
+    # an enumerated database hands over the graphs its walk parsed
+    parsed.clear()
+    db = enumerate_critical(4, 6, [parse_pattern("P4+P1")])
+    assert isinstance(certify_k_colorable(C5, 3, db), Coloring)
+    assert db.members and parsed == []
+
+
+def test_report_and_certify_spend_from_a_shared_counter(petersen):
+    # K4 alone misses W5, so certifying W5 runs every stage down to the
+    # extraction of a witness
+    db = CriticalDb(4, (), (to_graph6(complete_graph(4)),))
+    for g in (C5, W5, petersen):
+        report = lambda b: criticality_report(g, 3, b)
+        certify = lambda b: certify_k_colorable(g, 3, db, b)
+        each = [nodes_spent(report), nodes_spent(certify)]
+        assert each == [least_budget(report), least_budget(certify)] and min(each) > 0
+        counter = _Budget(sum(each))
+        assert report(counter) == criticality_report(g, 3)
+        assert certify(counter) == certify_k_colorable(g, 3, db)
+        assert counter.left == 0
 
 
 def test_certify_skips_colourable_database_members():

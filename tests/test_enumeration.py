@@ -597,13 +597,6 @@ def test_ingest_strict_names_the_line():
         list(ingest_graph6_stream(lines))
 
 
-def test_ingest_lenient_warns_and_skips():
-    lines = ["Bw", "D?", "Ch"]
-    with pytest.warns(UserWarning, match="line 2"):
-        got = list(ingest_graph6_stream(lines, strict=False))
-    assert [g.n for g in got] == [3, 4]
-
-
 def test_ingest_skips_blank_lines():
     got = list(ingest_graph6_stream(["", "Bw", "   ", "Ch", ""]))
     assert [g.n for g in got] == [3, 4]

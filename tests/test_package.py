@@ -1,9 +1,11 @@
 import ast
+import inspect
 import sys
 import types
 from pathlib import Path
 
 import critcolor
+from critcolor.chroma import _Budget
 
 
 def test_star_import_binds_names_not_submodules():
@@ -108,3 +110,71 @@ def test_unused_imports_finds_what_a_module_never_reads(tmp_path):
 
 def test_every_import_is_read_by_its_module():
     assert unused_imports(Path(critcolor.__file__).parent) == []
+
+
+C5 = critcolor.parse_graph6("Dhc")
+K4_DB = critcolor.CriticalDb(4, (), (critcolor.to_graph6(critcolor.complete_graph(4)),))
+
+# one small call of each public function that takes a budget
+BUDGETED_CALLS = {
+    "clique_number": lambda b: critcolor.clique_number(C5, budget=b),
+    "independence_number": lambda b: critcolor.independence_number(C5, budget=b),
+    "is_k_colorable": lambda b: critcolor.is_k_colorable(C5, 3, budget=b),
+    "chromatic_number": lambda b: critcolor.chromatic_number(C5, budget=b),
+    "find_induced_subgraph": lambda b: critcolor.find_induced_subgraph(
+        C5, critcolor.from_edges(3, [(0, 1), (1, 2)]), budget=b),
+    "find_induced": lambda b: critcolor.find_induced(C5, critcolor.path(4), budget=b),
+    "is_free": lambda b: critcolor.is_free(C5, [critcolor.clique(3), critcolor.path(4)], budget=b),
+    "criticality_report": lambda b: critcolor.criticality_report(C5, 3, budget=b),
+    "certify_k_colorable": lambda b: critcolor.certify_k_colorable(C5, 3, K4_DB, budget=b),
+}
+
+
+def test_every_public_budget_takes_none_a_count_or_a_counter():
+    budgeted = set()
+    for name in critcolor.__all__:
+        obj = getattr(critcolor, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        if "budget" in inspect.signature(obj).parameters:
+            budgeted.add(name)
+    assert budgeted == set(BUDGETED_CALLS)
+    for name, call in BUDGETED_CALLS.items():
+        answer = call(None)
+        assert call(10**6) == answer, name
+        counter = _Budget(10**6)
+        assert call(counter) == answer, name
+        assert counter.left < 10**6, name
+
+
+def package_trees() -> dict[str, ast.Module]:
+    package_dir = Path(critcolor.__file__).parent
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(package_dir.glob("*.py"))}
+
+
+def test_only_the_conversion_makes_a_counter():
+    makers = []
+    for module, tree in package_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_Budget" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    makers.append(f"{module}:{getattr(top, 'name', '<module>')}")
+    assert makers == ["chroma.py:_counter"]
+
+
+def test_the_counter_has_no_second_way_in():
+    names = set()
+    for tree in package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "_Budget":
+                names |= {getattr(item, "name", None) for item in node.body}
+                names |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                          for t in item.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.Attribute) and "_Budget" in (
+                getattr(node.value, "id", None), getattr(node.value, "attr", None)
+            ):
+                names.add(node.attr)
+    assert names and not names & {"shared", "capped"}

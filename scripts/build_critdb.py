@@ -12,7 +12,6 @@ from collections import Counter
 
 from critcolor.critical import save_critdb
 from critcolor.enumeration import enumerate_critical, verify_critdb
-from critcolor.graphs import parse_graph6
 from critcolor.patterns import format_pattern, parse_pattern
 
 
@@ -44,7 +43,7 @@ def build(args: argparse.Namespace) -> int:
     started = time.time()
     db = enumerate_critical(args.k, args.n, family)
     elapsed = time.time() - started
-    by_order = Counter(parse_graph6(m).n for m in db.members)
+    by_order = Counter(g.n for g in db.member_graphs)
     print(f"found {len(db.members)} members in {elapsed:.1f}s")
     for n in sorted(by_order):
         print(f"  n={n}: {by_order[n]}")

@@ -22,6 +22,7 @@ from .graphs import (
     is_complete_between,
     is_connected,
     iter_bits,
+    mask_of,
     set_neighborhood_mask,
 )
 
@@ -231,11 +232,11 @@ def find_anticomplete_pair(g: Graph) -> AnticompletePair:
         elif u in y:
             y.add(v)
 
-    w = bits_of(set_neighborhood_mask(g, sum(1 << v for v in x)))
+    w = bits_of(set_neighborhood_mask(g, mask_of(x)))
     ok = (
         x and y and not x & y
         and is_anticomplete_between(g, x, y)
-        and w == bits_of(set_neighborhood_mask(g, sum(1 << v for v in y)))
+        and w == bits_of(set_neighborhood_mask(g, mask_of(y)))
         and w
         and is_complete_between(g, x, w)
         and is_complete_between(g, y, w)

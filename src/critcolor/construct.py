@@ -86,11 +86,6 @@ def _color_bounded(g: Graph, ell: int, k: int) -> list[int]:
     """Colour assignment for a graph assumed (P4+ell*P1, K_k)-free."""
     if g.n == 0:
         return []
-    if ell == 0:
-        tree = recognize(g)
-        if tree is None:
-            raise ValueError("graph contains an induced P4 but ell is 0")
-        return list(cograph_color(tree).assignment)
     s = greedy_independent_set(g, ell)
     blocks = closed_neighborhood_partition(g, s)
     assignment = [0] * g.n

@@ -32,6 +32,7 @@ from .graphs import (
     mask_of,
     mixed_vertices,
     parse_graph6,
+    set_neighborhood_mask,
     to_graph6,
     without_vertex,
 )
@@ -181,10 +182,7 @@ def find_lemma_xy_violation(
             if not 1 <= sy <= size_cap:
                 continue
             xmask = mask_of(xs)
-            nx_mask = 0
-            for v in xs:
-                nx_mask |= g.rows[v]
-            nx_mask &= ~xmask
+            nx_mask = set_neighborhood_mask(g, xmask)
             chi_x: Optional[int] = None
             for ys in combinations((v for v in range(g.n) if not xmask >> v & 1), sy):
                 # anticomplete, and Y complete to N(X)

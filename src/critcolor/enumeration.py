@@ -1,20 +1,16 @@
 """Isomorphism-free enumeration of small graphs and critical-graph harvesting.
 
-Canonical forms come from the usual partition-refinement scheme: vertices
-are partitioned by degree, the partition is refined to equitability, and a
-backtracking search over the permutations still compatible with it picks the
-relabelling whose adjacency bit-string is smallest; that bit-string, in
-graph6 pair order, is the canonical form's graph6 body.  Automorphisms
-discovered along the way (two branches producing the same bit-string) prune
-sibling branches, which keeps highly symmetric graphs like cycles and
-edgeless graphs from exploding into factorial search.  Refinement skips
-splitters known to split nothing: such a splitter splits no refinement of
-the partition either, so the set of them is handed down the search tree.
-
-The refinement scans cells in order and restarts after the first splitter
-that splits anything.  That order is frozen: a splitter queue or any other
-order would pick different canonical labellings, and saved critdb files are
-verified by comparing their members with ``canonical_form``.
+Canonical forms come from the usual partition-refinement scheme of
+``graphs._canonical_labeling``: vertices are partitioned by degree, the
+partition is refined to equitability, and a backtracking search over the
+permutations still compatible with it picks the relabelling whose adjacency
+bit-string is smallest; that bit-string, in graph6 pair order, is the
+canonical form's graph6 body.  Automorphisms discovered along the way (two
+branches producing the same bit-string) prune sibling branches, which keeps
+highly symmetric graphs like cycles and edgeless graphs from exploding into
+factorial search.  Refinement skips splitters known to split nothing: such a
+splitter splits no refinement of the partition either, so the set of them
+is handed down the search tree.
 
 Enumeration is one walk up the orders 1, 2, ... n, starting from the empty
 graph: every n-vertex graph arises from some (n-1)-vertex graph by adding one
@@ -77,8 +73,9 @@ from .critical import CriticalDb, criticality_report, find_comparable_nonadjacen
 from .graphs import (
     Graph,
     Graph6Error,
-    _adjacency_bits,
+    _canonical_labeling,
     _encode_graph6,
+    _orbit,
     _rows_from_bits,
     delete_vertex,
     is_connected,
@@ -92,114 +89,6 @@ from .patterns import find_induced_subgraph  # noqa: F401
 
 MAX_CANONICAL_N = 16
 MAX_ENUMERATION_N = 10
-
-
-def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> list[list[int]]:
-    """Equitable refinement.  Cells split by neighbour counts into splitter
-    cells; fragments are ordered by count, so the ordering of the refined
-    partition depends only on the structure, never on vertex labels.
-
-    ``stable`` holds splitter masks known to split no cell; it is updated in
-    place.  A splitter that splits nothing splits no refinement either, so
-    callers pass the set on to refinements of the partition."""
-    while True:
-        for splitter in cells:
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            if smask in stable:
-                continue
-            new_cells: list[list[int]] = []
-            split = False
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
-                count = (rows[cell[0]] & smask).bit_count()
-                for v in cell:
-                    if (rows[v] & smask).bit_count() != count:
-                        break
-                else:
-                    new_cells.append(cell)
-                    continue
-                split = True
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-                for count in sorted(groups):
-                    new_cells.append(groups[count])
-            if split:
-                cells = new_cells
-                break
-            stable.add(smask)
-        else:
-            return cells
-
-
-def _orbit(v: int, gens: list[list[int]]) -> int:
-    """The orbit of vertex v under the group the vertex maps ``gens``
-    generate, as a mask."""
-    orbit = 1 << v
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for p in gens:
-            if not orbit >> p[u] & 1:
-                orbit |= 1 << p[u]
-                frontier.append(p[u])
-    return orbit
-
-
-def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
-    """(bits, label, gens): the least adjacency bit-string over all vertex
-    orders compatible with the refined degree partition, the order ``label``
-    that gives it (``label[i]`` is the vertex at canonical position i), and
-    the automorphisms found on the way, as vertex maps of g; they generate a
-    subgroup of Aut(g), usually all of it.  The walk's orbit pruning and
-    canonical-deletion rule use only these maps, so both stay exact when they
-    generate less than Aut(g)."""
-    n = g.n
-    rows = g.rows
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(rows[v].bit_count(), []).append(v)
-    stable: set[int] = set()
-    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
-
-    best_bits: Optional[int] = None
-    best_label: Optional[list[int]] = None
-    gens: list[list[int]] = []  # discovered automorphisms, as orig -> orig maps
-
-    def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
-        nonlocal best_bits, best_label
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            label = [c[0] for c in cells]
-            bits = _adjacency_bits(rows, label)
-            if best_bits is None or bits < best_bits:
-                best_bits = bits
-                best_label = label
-            elif bits == best_bits:
-                perm = [0] * n
-                for i in range(n):
-                    perm[best_label[i]] = label[i]
-                if any(perm[v] != v for v in range(n)) and perm not in gens:
-                    gens.append(perm)
-            return
-        done = 0
-        for v in cells[target]:
-            usable = [p for p in gens if all(p[f] == f for f in fixed)]
-            if _orbit(v, usable) & done:
-                continue
-            done |= 1 << v
-            rest = [u for u in cells[target] if u != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1:]
-            child_stable = set(stable)
-            descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
-
-    descend(cells, [], stable)
-    assert best_bits is not None and best_label is not None
-    return best_bits, best_label, gens
 
 
 def canonical_form(g: Graph) -> str:
@@ -297,15 +186,15 @@ _ChildClassifier = Callable[[Graph, int, int], Optional[str]]
 
 def _walk(
     n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
-) -> Iterator[tuple[int, list[Graph], list[str]]]:
+) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
     ``classify(parent)``; each family-free child on n vertices whose new
     vertex maximises the invariant of the canonical-deletion rule, with the
     new vertex's neighbourhood mask nb, is classified by ``classifier(child,
     n, nb)`` as _EXTEND, _EMIT or None (dropped).  Yields, per order n, one
     canonical representative per class of extended children, which are also
-    the next level's parents, and the sorted canonical forms of the emitted
-    children."""
+    the next level's parents, and one per class of emitted children, keyed
+    by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
@@ -345,7 +234,7 @@ def _walk(
         order = sorted(extended)  # at one order the bit-strings sort as the graph6 texts
         parents = [Graph(n, _rows_from_bits(n, bits)) for bits in order]
         parent_gens = [extended[bits] for bits in order]
-        yield n, parents, [_encode_graph6(n, bits) for bits in sorted(emitted)]
+        yield n, parents, {_encode_graph6(n, bits): Graph(n, _rows_from_bits(n, bits)) for bits in sorted(emitted)}
 
 
 def _always_extend(child: Graph, n: int, nb: int) -> str:
@@ -423,8 +312,7 @@ def enumerate_critical(
     family = tuple(family)
     members: dict[str, Graph] = {}
     for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max)):
-        for canon in emitted:
-            g = parse_graph6(canon)
+        for canon, g in emitted.items():
             if criticality_report(g, k).verdict:
                 members[canon] = g
     return CriticalDb(k, family, tuple(members), tuple(members.values()))
@@ -435,8 +323,7 @@ def verify_critdb(db: CriticalDb) -> bool:
     distinct, family-free and k-vertex-critical."""
     if len(set(db.members)) != len(db.members):
         return False
-    for text in db.members:
-        g = parse_graph6(text)
+    for text, g in zip(db.members, db.member_graphs):
         if canonical_form(g) != text:
             return False
         if not is_free(g, db.family)[0]:

@@ -5,12 +5,20 @@ iff uv is an edge.  All operations in this package treat graphs as values:
 nothing mutates, equal graphs hash equal, and every derived graph is a fresh
 object.  The representation is dense on purpose; everything here runs at desk
 scale (a few hundred vertices at most, usually ten).
+
+``_canonical_labeling`` is the package's one automorphism search: the
+canonical forms and the orbit pruning of enumeration, and the lex-leader
+constraints of first-copy pattern searches, all take its result.  Its
+refinement scans cells in order and restarts after the first splitter that
+splits anything.  That order is frozen: a splitter queue or any other order
+would pick different canonical labellings, and saved critdb files are
+verified by comparing their members with ``canonical_form``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_VERTEX_CAP = 512
 
@@ -68,17 +76,17 @@ def validate(g: Graph) -> None:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
-def from_rows(n: int, rows: Iterable[int], cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    if not 0 <= n <= cap:
-        raise ValueError(f"vertex count {n} outside 0..{cap}")
+def from_rows(n: int, rows: Iterable[int]) -> Graph:
+    if not 0 <= n <= DEFAULT_VERTEX_CAP:
+        raise ValueError(f"vertex count {n} outside 0..{DEFAULT_VERTEX_CAP}")
     g = Graph(n, tuple(rows))
     validate(g)
     return g
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], cap: int = DEFAULT_VERTEX_CAP) -> Graph:
-    if not 0 <= n <= cap:
-        raise ValueError(f"vertex count {n} outside 0..{cap}")
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if not 0 <= n <= DEFAULT_VERTEX_CAP:
+        raise ValueError(f"vertex count {n} outside 0..{DEFAULT_VERTEX_CAP}")
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -129,16 +137,16 @@ def _parse_n(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
-def parse_graph6(text: str | bytes, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string.  Errors carry the offending byte offset."""
     try:
-        data = text.encode("ascii") if isinstance(text, str) else text
+        data = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ASCII character {text[exc.start]!r}", exc.start) from None
     data = data.rstrip(b"\n")
     n, start = _parse_n(data)
-    if n > cap:
-        raise Graph6Error(f"vertex count {n} exceeds cap {cap}", 0)
+    if n > DEFAULT_VERTEX_CAP:
+        raise Graph6Error(f"vertex count {n} exceeds cap {DEFAULT_VERTEX_CAP}", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - start < nbytes:
@@ -208,6 +216,115 @@ def _adjacency_bits(rows: tuple[int, ...], label: Sequence[int]) -> int:
         for u in range(v):
             bits = bits << 1 | (rv >> label[u] & 1)
     return bits
+
+
+def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> list[list[int]]:
+    """Equitable refinement.  Cells split by neighbour counts into splitter
+    cells; fragments are ordered by count, so the ordering of the refined
+    partition depends only on the structure, never on vertex labels.
+
+    ``stable`` holds splitter masks known to split no cell; it is updated in
+    place.  A splitter that splits nothing splits no refinement either, so
+    callers pass the set on to refinements of the partition."""
+    while True:
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            if smask in stable:
+                continue
+            new_cells: list[list[int]] = []
+            split = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                count = (rows[cell[0]] & smask).bit_count()
+                for v in cell:
+                    if (rows[v] & smask).bit_count() != count:
+                        break
+                else:
+                    new_cells.append(cell)
+                    continue
+                split = True
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                for count in sorted(groups):
+                    new_cells.append(groups[count])
+            if split:
+                cells = new_cells
+                break
+            stable.add(smask)
+        else:
+            return cells
+
+
+def _orbit(v: int, gens: list[list[int]]) -> int:
+    """The orbit of vertex v under the group the vertex maps ``gens``
+    generate, as a mask."""
+    orbit = 1 << v
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for p in gens:
+            if not orbit >> p[u] & 1:
+                orbit |= 1 << p[u]
+                frontier.append(p[u])
+    return orbit
+
+
+def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
+    """(bits, label, gens): the least adjacency bit-string over all vertex
+    orders compatible with the refined degree partition, the order ``label``
+    that gives it (``label[i]`` is the vertex at canonical position i), and
+    the automorphisms found on the way, as vertex maps of g; they generate a
+    subgroup of Aut(g), usually all of it.  The walk's orbit pruning and
+    canonical-deletion rule and the lex-leader constraints of first-copy
+    pattern searches use only these maps, so all three stay exact when they
+    generate less than Aut(g)."""
+    n = g.n
+    rows = g.rows
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(rows[v].bit_count(), []).append(v)
+    stable: set[int] = set()
+    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
+
+    best_bits: Optional[int] = None
+    best_label: Optional[list[int]] = None
+    gens: list[list[int]] = []  # discovered automorphisms, as orig -> orig maps
+
+    def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
+        nonlocal best_bits, best_label
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            label = [c[0] for c in cells]
+            bits = _adjacency_bits(rows, label)
+            if best_bits is None or bits < best_bits:
+                best_bits = bits
+                best_label = label
+            elif bits == best_bits:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best_label[i]] = label[i]
+                if any(perm[v] != v for v in range(n)) and perm not in gens:
+                    gens.append(perm)
+            return
+        done = 0
+        for v in cells[target]:
+            usable = [p for p in gens if all(p[f] == f for f in fixed)]
+            if _orbit(v, usable) & done:
+                continue
+            done |= 1 << v
+            rest = [u for u in cells[target] if u != v]
+            child = cells[:target] + [[v], rest] + cells[target + 1:]
+            child_stable = set(stable)
+            descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
+
+    descend(cells, [], stable)
+    assert best_bits is not None and best_label is not None
+    return best_bits, best_label, gens
 
 
 def to_graph6(g: Graph) -> str:
@@ -347,10 +464,10 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full ^ row ^ (1 << v)) & full for v, row in enumerate(g.rows)))
 
 
-def disjoint_union(a: Graph, b: Graph, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
+def disjoint_union(a: Graph, b: Graph) -> Graph:
     n = a.n + b.n
-    if n > cap:
-        raise ValueError(f"combined vertex count {n} exceeds cap {cap}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"combined vertex count {n} exceeds cap {DEFAULT_VERTEX_CAP}")
     rows = list(a.rows) + [row << a.n for row in b.rows]
     return Graph(n, tuple(rows))
 

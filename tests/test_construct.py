@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critcolor.chroma import chromatic_number, is_proper_coloring
+from critcolor.cograph import cograph_color, recognize
 from critcolor.construct import (
+    _color_bounded,
+    _compact,
     bound_f,
     closed_neighborhood_partition,
     color_k3_free,
@@ -155,6 +158,14 @@ def test_unchecked_calls_still_verify_the_output():
 def test_ell_zero_requires_a_cograph():
     with pytest.raises(ValueError):
         color_k3_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0)
+
+
+def test_ell_zero_colours_the_whole_graph_from_its_cotree():
+    # S is empty, so the remainder is the whole graph, coloured with tail 1
+    for g in enumerate_up_to(8, [path(4)]):
+        want = _compact(cograph_color(recognize(g)).assignment)
+        for k in (3, 4, 5):
+            assert _compact(_color_bounded(g, 0, k)) == want
 
 
 def test_empty_graph():

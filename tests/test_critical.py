@@ -225,6 +225,18 @@ def test_lemma_xy_violation_at_size_one_is_the_comparable_nonadjacent_pair():
         assert find_lemma_xy_violation(g, 1) == expected
 
 
+@pytest.mark.parametrize("family", [
+    ("P4+P1", "2P2"), ("P4+P1", "chair"), ("P4+P1", "P5", "bull"), ("P4+P1", "P5", "cricket"),
+    ("P4+P1", "broom(4,1)", "broomplus(1)"), ("P4+2P1", "2P2"),
+], ids=",".join)
+def test_critical_members_of_the_paper_families_have_no_lemma_obstruction(family):
+    db = enumerate_critical(4, 8, [parse_pattern(t) for t in family])
+    assert db.members
+    for g in db.member_graphs:
+        assert find_lemma_xy_violation(g, 3) is None
+        assert find_comparable_nonadjacent(g) is None
+
+
 def test_sperner_constant():
     assert sperner_constant(1, 1) == 1
     assert sperner_constant(2, 2) == 6

@@ -11,12 +11,10 @@ from critcolor.enumeration import (
     _EMIT,
     _EXTEND,
     _attach,
-    _canonical_labeling,
     _critical_classifier,
     _extend_all,
     _forbidden_traces,
     _orbit_reps,
-    _refine,
     _trace_patterns,
     _walk,
     canonical_form,
@@ -29,6 +27,8 @@ from critcolor.enumeration import (
 from critcolor.graphs import (
     Graph,
     _adjacency_bits,
+    _canonical_labeling,
+    _refine,
     complete_graph,
     empty_graph,
     from_edges,
@@ -472,6 +472,21 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
     assert len(db.members) == 9
     # 711 classified children and the family graph P4+P1
     assert len(calls) == 712
+
+
+def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
+    import critcolor.critical as critical
+    import critcolor.enumeration as enumeration
+
+    parsed = []
+    for module in (critical, enumeration):
+        real = module.parse_graph6
+        monkeypatch.setattr(module, "parse_graph6", lambda text, real=real: parsed.append(text) or real(text))
+    # the walk hands over the emitted classes as graphs, and verifying reads
+    # the database's graphs
+    db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
+    assert len(db.members) == 9 and verify_critdb(db)
+    assert parsed == []
 
 
 @pytest.mark.parametrize("n_max, family, classify", [

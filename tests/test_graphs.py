@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critcolor.graphs import (
+    DEFAULT_VERTEX_CAP,
     Graph6Error,
     _adjacency_bits,
+    _encode_graph6,
     _rows_from_bits,
     bits_of,
     closed_neighborhood,
@@ -96,17 +98,13 @@ def test_graph6_errors_carry_byte_offsets(text, offset, needle):
 
 def test_graph6_vertex_cap():
     with pytest.raises(Graph6Error):
-        parse_graph6(to_graph6(empty_graph(100)), cap=64)
-    assert parse_graph6("D??", cap=5).n == 5
+        parse_graph6(_encode_graph6(DEFAULT_VERTEX_CAP + 1, 0))
+    assert parse_graph6(_encode_graph6(DEFAULT_VERTEX_CAP, 0)).n == DEFAULT_VERTEX_CAP
 
 
 @given(graphs(max_n=12))
 def test_graph6_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
-
-
-def test_graph6_accepts_bytes():
-    assert parse_graph6(b"Ch") == P4
 
 
 @given(graphs(max_n=12))

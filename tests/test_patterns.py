@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from critcolor.chroma import BudgetExhausted, _Budget
 from critcolor.critical import CriticalDb, write_critdb
-from critcolor.graphs import complete_graph, disjoint_union, empty_graph, from_edges
+from critcolor.graphs import complete_graph, disjoint_union, empty_graph, from_edges, parse_graph6
 from critcolor.patterns import (
     BULL,
     CHAIR,
@@ -20,7 +20,6 @@ from critcolor.patterns import (
     _ABOVE,
     _compile_pattern,
     _induced_copies,
-    _stabiliser_orbits,
     broom,
     broomplus,
     clique,
@@ -332,13 +331,14 @@ def test_exhaustive_small_hosts_against_brute_force():
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=6), st.sampled_from(
+@given(graphs(max_n=6), st.one_of(st.sampled_from(
     [path(1), path(3), path(4), clique(3), TWO_P2, plus_isolated(path(3), 1), CHAIR,
      # symmetric: the first copy is searched under lex-leader constraints
      clique(4), star(3), cycle(4), plus_isolated(path(4), 2), parse_pattern("3P1"),
-     path(5), cycle(5), BULL, GEM, plus_isolated(path(4), 1)]))
-def test_induced_copies_are_every_induced_embedding(host, spec):
-    pattern = realize(spec)
+     path(5), cycle(5), BULL, GEM, plus_isolated(path(4), 1)]).map(realize),
+    # EKYW: the labelling's generators miss part of a prefix's stabiliser
+    graphs(max_n=6), st.just(parse_graph6("EKYW"))))
+def test_induced_copies_are_every_induced_embedding(host, pattern):
     copies = _induced_copies(host, pattern)
     want = {
         image for image in permutations(range(host.n), pattern.n)
@@ -390,7 +390,9 @@ def test_first_copy_search_breaks_the_end_swap_of_the_path(petersen):
 
 
 def _brute_force_orbits(pattern, order):
-    """The stabiliser orbits of _stabiliser_orbits, from every automorphism."""
+    """For each position i of the pairing order, the mask of the other
+    positions that some automorphism fixing positions 0..i-1 maps position i
+    onto, from every automorphism."""
     autos = [
         s for s in permutations(range(pattern.n))
         if all(pattern.has_edge(s[u], s[v]) for u, v in pattern.edges())
@@ -405,7 +407,6 @@ def _brute_force_orbits(pattern, order):
 
 def _symmetry_test_patterns():
     from critcolor.enumeration import enumerate_critical
-    from critcolor.graphs import parse_graph6
 
     specs = [path(n) for n in range(1, 7)] + [clique(n) for n in range(1, 6)]
     specs += [cycle(n) for n in range(3, 8)] + [star(m) for m in range(7)]
@@ -419,9 +420,8 @@ def _symmetry_test_patterns():
 
 def test_stabiliser_orbits_match_brute_force():
     for pattern in _symmetry_test_patterns():
-        order, every, first, _ = _compile_pattern(pattern)
-        orbits = _stabiliser_orbits(pattern, order, every)
-        assert orbits == _brute_force_orbits(pattern, order)
+        order, _, first, _ = _compile_pattern(pattern)
+        orbits = _brute_force_orbits(pattern, order)
         for j, steps in enumerate(first):
             sources = [i for i in range(j) if orbits[i] >> j & 1]
             assert [i for i, kind in steps if kind == _ABOVE] == sources[-1:]
@@ -447,8 +447,8 @@ def test_lex_leader_constraints_of_named_patterns():
 
 
 def test_compiling_a_large_clique_is_cheap():
-    # the orbits come from one pinned search per pair of positions, never
-    # from the 12! automorphisms of K12
+    # the orbits come from the generators the canonical labelling finds,
+    # never from the 12! automorphisms of K12
     start = time.perf_counter()
     _compile_pattern.__wrapped__(realize(clique(12)))
     assert time.perf_counter() - start < 1.0

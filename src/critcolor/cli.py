@@ -25,11 +25,7 @@ from .cograph import (
     render_cotree,
 )
 from .graphs import Graph, parse_graph6, to_graph6
-from .patterns import PatternViolation, format_pattern, is_free, parse_pattern
-
-
-class _UsageError(Exception):
-    pass
+from .patterns import format_pattern, is_free, parse_pattern
 
 
 def _node_budget(text: str) -> int:
@@ -132,8 +128,6 @@ def _cmd_chi(args, g: Graph):
 
 
 def _cmd_critical(args, g: Graph):
-    if args.k < 1:
-        raise _UsageError("--k must be at least 1")
     report = critical.criticality_report(g, args.k, args.budget)
     payload = {
         "k": report.k,
@@ -193,7 +187,7 @@ def _cmd_certify(args, g: Graph, db: critical.CriticalDb):
 def _run_enumerate(args) -> tuple[int, dict, list[str]]:
     filters = [parse_pattern(t) for t in args.free]
     if args.db and args.critical is None:
-        raise _UsageError("--db writes a critical-graph database and needs --critical K")
+        raise ValueError("--db writes a critical-graph database and needs --critical K")
     if args.critical is not None:
         db = enumeration.enumerate_critical(args.critical, args.n, filters)
         texts = list(db.members)  # critical members are connected already
@@ -281,7 +275,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             print(humans[0])
         return emit(worst, payloads[0], texts[0])
 
-    except (PatternViolation, chroma.BudgetExhausted, _UsageError, ValueError, OSError) as exc:
+    except (chroma.BudgetExhausted, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

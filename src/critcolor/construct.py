@@ -74,11 +74,12 @@ def _compact(assignment: list[int]) -> Coloring:
 
 
 def _cotree_palette(g: Graph, verts: list[int]) -> list[int]:
-    """Optimal colouring (1-based) of an induced P4-free remainder."""
+    """Optimal colouring (1-based) of an induced P4-free remainder; a
+    ValueError if the remainder has an induced P4."""
     sub = induced_subgraph(g, verts)
     tree = recognize(sub)
     if tree is None:
-        raise ValueError("remainder unexpectedly contains an induced P4")
+        raise ValueError("leaves a remainder with an induced P4")
     return list(cograph_color(tree).assignment)
 
 
@@ -124,9 +125,10 @@ def color_k3_free(g: Graph, ell: int, check: bool = True) -> Coloring:
 def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
     """Colour a (P4+ell*P1, K_k)-free graph with at most bound_f(k, ell)
     colours.  The family membership is verified up front unless check is
-    False; the result is always checked to be proper and within the bound,
-    and without the check a result that fails either means g is outside
-    the family."""
+    False.  The result is always checked: it must be proper and within the
+    bound, and each remainder coloured from its cotree must be P4-free.
+    Without the up-front check, a failed one means g is outside the family
+    and raises a ValueError that names the family."""
     if k < 3:
         raise ValueError(f"clique parameter must be at least 3, got {k}")
     if ell < 0:
@@ -135,13 +137,17 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
         ok, hit = is_free(g, _family(ell, k))
         if not ok:
             raise PatternViolation(hit[0], hit[1])
-    col = _compact(_color_bounded(g, ell, k))
-    if not is_proper_coloring(g, col):
-        problem = "is improper"
-    elif col.palette_size > bound_f(k, ell):
-        problem = f"uses {col.palette_size} colours, above the bound {bound_f(k, ell)}"
+    try:
+        col = _compact(_color_bounded(g, ell, k))
+    except ValueError as exc:  # _cotree_palette met an induced P4, the one raise in there
+        problem = str(exc)
     else:
-        return col
+        if not is_proper_coloring(g, col):
+            problem = "is improper"
+        elif col.palette_size > bound_f(k, ell):
+            problem = f"uses {col.palette_size} colours, above the bound {bound_f(k, ell)}"
+        else:
+            return col
     if check:  # pragma: no cover - guards the maths
         raise AssertionError(f"constructive colouring {problem}")
     names = ", ".join(format_pattern(p) for p in _family(ell, k))

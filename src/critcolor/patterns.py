@@ -12,23 +12,58 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _counter
 from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges
 
-_SIMPLE_KINDS = {"chair", "bull", "cricket", "gem"}
+
+def _broom(n: int, m: int) -> tuple[int, list[tuple[int, int]]]:
+    # handle 0..n-1 is a path; bristles n..n+m-1 hang off vertex n-1
+    return n + m, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n + j) for j in range(m)]
+
+
+def _broomplus(m: int, _: int) -> tuple[int, list[tuple[int, int]]]:
+    # a triangle 1,2,3 with a pendant at 1; bristles hang off vertex 2
+    return 4 + m, [(0, 1), (1, 2), (1, 3), (2, 3)] + [(2, 4 + j) for j in range(m)]
+
+
+# The atom kinds.  Each has its text, with "{}" for each integer parameter
+# (a, then b); the least value of each parameter, and the rule that states
+# them in an error; and the builder of its labelled graph, (a, b) ->
+# (order, edges).  Embeddings, forbidden traces and canonical forms all
+# follow these labels, so they must never change.
+_ATOMS = {
+    "path": ("P{}", (1,), "needs at least one vertex, got {}",
+             lambda n, _: (n, [(i, i + 1) for i in range(n - 1)])),
+    "clique": ("K{}", (1,), "needs at least one vertex, got {}",
+               lambda n, _: (n, [(u, v) for v in range(n) for u in range(v)])),
+    "star": ("star({})", (0,), "needs >= 0 leaves, got {}",
+             lambda m, _: (m + 1, [(0, i) for i in range(1, m + 1)])),
+    "cycle": ("C{}", (3,), "needs length >= 3, got {}",
+              lambda n, _: (n, [(i, (i + 1) % n) for i in range(n)])),
+    "broom": ("broom({},{})", (2, 0), "needs handle >= 2 and >= 0 bristles, got ({},{})", _broom),
+    "broomplus": ("broomplus({})", (0,), "needs >= 0 bristles, got {}", _broomplus),
+    "chair": ("chair", (), "", lambda *_: _broom(3, 2)),
+    "bull": ("bull", (), "", lambda *_: _broomplus(1, 0)),
+    # triangle 0,1,2 with two pendants at vertex 1
+    "cricket": ("cricket", (), "", lambda *_: (5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)])),
+    "gem": ("gem", (), "", lambda *_: (5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])),
+}
 
 
 @dataclass(frozen=True)
 class PatternSpec:
     """One forbidden pattern.
 
-    kind is one of: ``path``, ``clique``, ``star``, ``cycle``, ``broom``,
-    ``broomplus``, ``chair``, ``bull``, ``cricket``, ``gem``, ``union``.
-    Integer parameters live in ``a``/``b``.  A ``union`` is the disjoint
-    union of its ``parts``, none of which is a union itself, so every
-    disjoint union ("2P2", "P4+P1", "3K2") has exactly one spec.
+    kind is ``union`` or an atom kind of ``_ATOMS``: ``path``, ``clique``,
+    ``star``, ``cycle``, ``broom``, ``broomplus``, ``chair``, ``bull``,
+    ``cricket``, ``gem``.  An atom takes the integer parameters its text
+    has, in ``a`` then ``b``, each at least its least value; a parameter it
+    does not take stays 0, and it has no ``parts``.  A ``union`` is the
+    disjoint union of its ``parts``, none of which is a union itself, so
+    every disjoint union ("2P2", "P4+P1", "3K2") has exactly one spec.
     """
 
     kind: str
@@ -37,29 +72,18 @@ class PatternSpec:
     parts: tuple["PatternSpec", ...] = field(default=())
 
     def __post_init__(self):
-        k = self.kind
-        if k in ("path", "clique"):
-            if self.a < 1:
-                raise ValueError(f"{k} needs at least one vertex, got {self.a}")
-        elif k == "star":
-            if self.a < 0:
-                raise ValueError(f"star needs >= 0 leaves, got {self.a}")
-        elif k == "cycle":
-            if self.a < 3:
-                raise ValueError(f"cycle needs length >= 3, got {self.a}")
-        elif k == "broom":
-            if self.a < 2 or self.b < 0:
-                raise ValueError(f"broom needs handle >= 2 and >= 0 bristles, got ({self.a},{self.b})")
-        elif k == "broomplus":
-            if self.a < 0:
-                raise ValueError(f"broomplus needs >= 0 bristles, got {self.a}")
-        elif k in _SIMPLE_KINDS:
-            pass
-        elif k == "union":
+        if self.kind == "union":
             if len(self.parts) < 2 or any(p.kind == "union" for p in self.parts):
                 raise ValueError("union needs at least two parts, none of them a union")
-        else:
-            raise ValueError(f"unknown pattern kind {k!r}")
+            return
+        try:
+            least = _ATOMS[self.kind][1]
+        except KeyError:
+            raise ValueError(f"unknown pattern kind {self.kind!r}") from None
+        if self.parts or self.b and len(least) < 2 or self.a and not least:
+            raise ValueError(f"{self.kind} takes {len(least)} integer parameter(s) and no parts, got {self!r}")
+        if least and (self.a < least[0] or len(least) == 2 and self.b < least[1]):
+            raise ValueError(f"{self.kind} {_ATOMS[self.kind][2].format(self.a, self.b)}")
 
 
 def path(n: int) -> PatternSpec:
@@ -109,44 +133,12 @@ TWO_P2 = union(path(2), path(2))
 @lru_cache(maxsize=None)
 def realize(spec: PatternSpec) -> Graph:
     """Build the labelled graph for a spec.  Same spec, same graph."""
-    k = spec.kind
-    if k == "path":
-        return from_edges(spec.a, [(i, i + 1) for i in range(spec.a - 1)])
-    if k == "clique":
-        n = spec.a
-        return from_edges(n, [(u, v) for v in range(n) for u in range(v)])
-    if k == "star":
-        return from_edges(spec.a + 1, [(0, i) for i in range(1, spec.a + 1)])
-    if k == "cycle":
-        n = spec.a
-        return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if k == "broom":
-        # handle 0..a-1 is a path; bristles a..a+b-1 hang off vertex a-1
-        n, m = spec.a, spec.b
-        edges = [(i, i + 1) for i in range(n - 1)]
-        edges += [(n - 1, n + j) for j in range(m)]
-        return from_edges(n + m, edges)
-    if k == "broomplus":
-        # a triangle 1,2,3 with a pendant at 1; bristles hang off vertex 2
-        m = spec.a
-        edges = [(0, 1), (1, 2), (1, 3), (2, 3)]
-        edges += [(2, 4 + j) for j in range(m)]
-        return from_edges(4 + m, edges)
-    if k == "chair":
-        return realize(broom(3, 2))
-    if k == "bull":
-        return realize(broomplus(1))
-    if k == "cricket":
-        # triangle 0,1,2 with two pendants at vertex 1
-        return from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)])
-    if k == "gem":
-        return from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
-    if k == "union":
+    if spec.kind == "union":
         g = realize(spec.parts[0])
         for part in spec.parts[1:]:
             g = disjoint_union(g, realize(part))
         return g
-    raise ValueError(f"unknown pattern kind {k!r}")
+    return from_edges(*_ATOMS[spec.kind][3](spec.a, spec.b))
 
 
 @dataclass(frozen=True)
@@ -349,41 +341,30 @@ def is_free(
 
 
 # ---------------------------------------------------------------------------
-# text grammar: P5, K4, C5, chair, bull, cricket, gem, broom(n,m),
-# broomplus(m), star(m); a count in front makes copies ("2P2"), and a
-# +<count>P1 suffix adds isolated vertices.
+# text grammar: the texts of _ATOMS (P5, K4, C5, broom(n,m), chair, ...);
+# a count in front makes copies ("2P2"), and a +<count>P1 suffix adds
+# isolated vertices.
 # ---------------------------------------------------------------------------
-
-_ATOM_RE = re.compile(r"^(?:(p|k|c)(\d+)|(broom)\((\d+),(\d+)\)|(broomplus|star)\((\d+)\)|(chair|bull|cricket|gem))$")
 
 
 def _parse_atom(text: str) -> PatternSpec:
-    m = _ATOM_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse pattern {text!r}")
-    if m.group(1):
-        size = int(m.group(2))
-        if m.group(1) == "p":
-            return path(size)
-        if m.group(1) == "k":
-            return clique(size)
-        return cycle(size)
-    if m.group(3):
-        return broom(int(m.group(4)), int(m.group(5)))
-    if m.group(6) == "broomplus":
-        return broomplus(int(m.group(7)))
-    if m.group(6) == "star":
-        return star(int(m.group(7)))
-    return PatternSpec(m.group(8))
+    for kind, (template, *_) in _ATOMS.items():
+        m = re.fullmatch(re.escape(template.lower()).replace(r"\{\}", r"(\d+)"), text)
+        if m:
+            return PatternSpec(kind, *map(int, m.groups()))
+    raise ValueError(f"cannot parse pattern {text!r}")
 
 
 def parse_pattern(text: str) -> PatternSpec:
     """Parse the textual pattern grammar (case-insensitive).
 
-    A pattern is a base atom followed by optional "+<c>P1" terms that add
-    isolated vertices: "P4+P1", "chair", "broom(3,2)", "C5+2P1".  A count
-    in front of the base atom makes that many copies ("2P2", "3K2").  Any
-    text naming a disjoint union parses to one flat ``union``.
+    A pattern is a base atom, written as in ``_ATOMS``, followed by optional
+    "+<c>P1" terms that add isolated vertices: "P4+P1", "chair",
+    "broom(3,2)", "C5+2P1".  A count in front of the base atom makes that
+    many copies ("2P2", "3K2").  Any text naming a disjoint union parses to
+    one flat ``union``.  This reads back every text ``format_pattern``
+    gives for an atom, and for a union whose parts are one run of equal
+    parts followed by P1s.
     """
     parts: list[PatternSpec] = []
     for i, term in enumerate(text.strip().lower().replace(" ", "").split("+")):
@@ -399,33 +380,12 @@ def parse_pattern(text: str) -> PatternSpec:
 
 
 def format_pattern(spec: PatternSpec) -> str:
-    """Render a spec back into the text grammar."""
-    k = spec.kind
-    if k == "path":
-        return f"P{spec.a}"
-    if k == "clique":
-        return f"K{spec.a}"
-    if k == "cycle":
-        return f"C{spec.a}"
-    if k == "star":
-        return f"star({spec.a})"
-    if k == "broom":
-        return f"broom({spec.a},{spec.b})"
-    if k == "broomplus":
-        return f"broomplus({spec.a})"
-    if k in _SIMPLE_KINDS:
-        return k
-    if k == "union":
-        # equal parts print as a count and trailing P1s as a "+<c>P1" suffix;
-        # any other union prints "+"-joined, which does not parse back
-        parts, head = spec.parts, len(spec.parts)
-        while len(set(parts[:head])) > 1 and parts[head - 1] == path(1):
-            head -= 1
-        if len(set(parts[:head])) > 1:
-            return "+".join(format_pattern(p) for p in parts)
-        text = f"{head if head > 1 else ''}{format_pattern(parts[0])}"
-        isolated = len(parts) - head
-        if isolated:
-            text += f"+{isolated if isolated > 1 else ''}P1"
-        return text
-    raise ValueError(f"unknown pattern kind {k!r}")
+    """Render a spec as text.  An atom prints its ``_ATOMS`` text; a union
+    prints its runs of equal parts, "+"-joined, each with its length in
+    front when above 1 ("2P2+P1", "P3+K3", "2P1+P4").  The text names one
+    spec, and ``parse_pattern`` reads it back when the union is one run
+    followed by P1s."""
+    if spec.kind != "union":
+        return _ATOMS[spec.kind][0].format(spec.a, spec.b)
+    runs = [(part, sum(1 for _ in run)) for part, run in groupby(spec.parts)]
+    return "+".join(f"{count if count > 1 else ''}{format_pattern(part)}" for part, count in runs)

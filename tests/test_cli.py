@@ -76,6 +76,20 @@ def test_color_no_verify_above_the_bound_exits_2(capsys):
     assert "above the bound 3" in captured.err
 
 
+@pytest.mark.parametrize("ell, graph, family", [("1", "DHC", "P4+P1"), ("0", "Ch", "P4")])
+def test_color_no_verify_with_a_p4_remainder_exits_2(ell, graph, family, capsys):
+    assert run(["color", "--ell", ell, "--no-verify", graph]) == 2  # P4+P1, P4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: graph is not ({family}, K3)-free" in captured.err
+
+
+def test_critical_k_below_1_exits_2(capsys):
+    assert run(["critical", "--k", "0", C5]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "k must be at least 1" in captured.err
+
+
 def test_malformed_graph6_exits_2(capsys):
     assert run(["chi", "D?"]) == 2
     err = capsys.readouterr().err

@@ -155,6 +155,17 @@ def test_unchecked_calls_still_verify_the_output():
         color_k3_free(k1_k4, 1)
 
 
+def test_unchecked_inputs_with_a_p4_remainder_name_the_family():
+    # the isolated vertex is S, and the P4 left over has no cotree
+    p4_p1 = from_edges(5, [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match=r"^graph is not \(P4\+P1, K3\)-free: .* remainder with an induced P4"):
+        color_k3_free(p4_p1, 1, check=False)
+    with pytest.raises(ValueError, match=r"^graph is not \(P4, K3\)-free: .* remainder with an induced P4"):
+        color_k3_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, check=False)
+    with pytest.raises(PatternViolation):
+        color_k3_free(p4_p1, 1)
+
+
 def test_ell_zero_requires_a_cograph():
     with pytest.raises(ValueError):
         color_k3_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0)

@@ -178,3 +178,46 @@ def test_the_counter_has_no_second_way_in():
             ):
                 names.add(node.attr)
     assert names and not names & {"shared", "capped"}
+
+
+def atom_kind_strings_outside_the_table(tree: ast.Module) -> list[str]:
+    """String constants of a module that name an atom kind of its
+    ``_ATOMS`` table, outside the table itself, the one-line constructors
+    (``def path(n): return PatternSpec("path", n)``) and the named
+    constants (``CHAIR = PatternSpec("chair")``)."""
+    table = [node for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["_ATOMS"]]
+    assert len(table) == 1, "no _ATOMS table"
+    kinds = {key.value for key in table[0].value.keys}
+
+    def makes_a_spec(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PatternSpec"
+
+    allowed = set()
+    for node in tree.body:
+        if (node is table[0]
+                or isinstance(node, ast.Assign) and makes_a_spec(node.value)
+                or isinstance(node, ast.FunctionDef) and len(node.body) == 1
+                and isinstance(node.body[0], ast.Return) and makes_a_spec(node.body[0].value)):
+            allowed |= {id(inner) for inner in ast.walk(node)}
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in kinds and id(node) not in allowed]
+
+
+def test_atom_kind_guard_finds_a_kind_outside_the_table():
+    tree = ast.parse(
+        '_ATOMS = {"path": ("P{}",), "chair": ("chair",)}\n'
+        'CHAIR = PatternSpec("chair")\n'
+        '_SIMPLE = {"chair"}\n'
+        'def path(n):\n'
+        '    return PatternSpec("path", n)\n'
+        'def realize(spec):\n'
+        '    if spec.kind == "path":\n'
+        '        return 1\n'
+    )
+    assert atom_kind_strings_outside_the_table(tree) == ["line 3: 'chair'", "line 7: 'path'"]
+
+
+def test_only_the_atom_table_names_atom_kinds():
+    source = (Path(critcolor.__file__).parent / "patterns.py").read_text()
+    assert atom_kind_strings_outside_the_table(ast.parse(source)) == []

@@ -18,6 +18,7 @@ from critcolor.patterns import (
     PatternSpec,
     PatternViolation,
     _ABOVE,
+    _ATOMS,
     _compile_pattern,
     _induced_copies,
     broom,
@@ -117,11 +118,32 @@ def test_chair_shape_sits_inside_longer_brooms(m):
         lambda: plus_isolated(TWO_P2, 0),
         lambda: PatternSpec("2p2"),
         lambda: PatternSpec("plus_isolated", 1, parts=(path(4),)),
+        # an atom takes no parameter beyond its text's, and no parts
+        lambda: PatternSpec("chair", 1),
+        lambda: PatternSpec("path", 4, 7),
+        lambda: PatternSpec("path", 4, parts=(path(1),)),
     ],
 )
 def test_invalid_specs_raise(make):
     with pytest.raises(ValueError):
         make()
+
+
+def _atoms_at_and_above_their_floors():
+    for kind, (_, least, _, build) in _ATOMS.items():
+        for bump in [None, *range(len(least))]:
+            params = [v + (i == bump) for i, v in enumerate(least)]
+            yield pytest.param(kind, params, build, id=f"{kind}{params}")
+
+
+@pytest.mark.parametrize("kind, params, build", _atoms_at_and_above_their_floors())
+def test_every_atom_formats_parses_and_realizes(kind, params, build):
+    spec = PatternSpec(kind, *params)
+    text = format_pattern(spec)
+    assert parse_pattern(text.upper()) == spec == parse_pattern(text.lower())
+    order, edges = build(*params, *[0] * (2 - len(params)))
+    g = realize(spec)
+    assert (g.n, len(list(g.edges()))) == (order, len(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _counter
-from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges
+from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, iter_bits, mask_of
 
 
 def _broom(n: int, m: int) -> tuple[int, list[tuple[int, int]]]:
@@ -63,7 +63,9 @@ class PatternSpec:
     has, in ``a`` then ``b``, each at least its least value; a parameter it
     does not take stays 0, and it has no ``parts``.  A ``union`` is the
     disjoint union of its ``parts``, none of which is a union itself, so
-    every disjoint union ("2P2", "P4+P1", "3K2") has exactly one spec.
+    every disjoint union ("2P2", "P4+P1", "3K2") has exactly one spec.  A
+    spec keeps its hash; ``path``, ``clique`` and ``plus_isolated`` hand out
+    one shared spec per argument.
     """
 
     kind: str
@@ -73,23 +75,33 @@ class PatternSpec:
 
     def __post_init__(self):
         if self.kind == "union":
-            if len(self.parts) < 2 or any(p.kind == "union" for p in self.parts):
-                raise ValueError("union needs at least two parts, none of them a union")
-            return
-        try:
-            least = _ATOMS[self.kind][1]
-        except KeyError:
-            raise ValueError(f"unknown pattern kind {self.kind!r}") from None
-        if self.parts or self.b and len(least) < 2 or self.a and not least:
-            raise ValueError(f"{self.kind} takes {len(least)} integer parameter(s) and no parts, got {self!r}")
+            least, parts_ok = (), len(self.parts) >= 2 and all(p.kind != "union" for p in self.parts)
+            parts_rule = "at least two parts, none of them a union"
+        elif self.kind in _ATOMS:
+            least, parts_ok, parts_rule = _ATOMS[self.kind][1], not self.parts, "no parts"
+        else:
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
+        if not parts_ok or self.b and len(least) < 2 or self.a and not least:
+            raise ValueError(f"{self.kind} takes {len(least)} integer parameter(s) and {parts_rule}, got {self!r}")
         if least and (self.a < least[0] or len(least) == 2 and self.b < least[1]):
             raise ValueError(f"{self.kind} {_ATOMS[self.kind][2].format(self.a, self.b)}")
+        # realize and every spec-keyed cache hash the spec on each lookup
+        object.__setattr__(self, "_hash", hash((self.kind, self.a, self.b, self.parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a string hash is only good in its own process
+        return PatternSpec, (self.kind, self.a, self.b, self.parts)
 
 
+@lru_cache(maxsize=None)
 def path(n: int) -> PatternSpec:
     return PatternSpec("path", n)
 
 
+@lru_cache(maxsize=None)
 def clique(n: int) -> PatternSpec:
     return PatternSpec("clique", n)
 
@@ -117,6 +129,7 @@ def union(*parts: PatternSpec) -> PatternSpec:
     return PatternSpec("union", parts=tuple(flat))
 
 
+@lru_cache(maxsize=None)
 def plus_isolated(base: PatternSpec, count: int) -> PatternSpec:
     if count < 1:
         raise ValueError(f"plus_isolated needs >= 1 isolated vertices, got {count}")
@@ -158,17 +171,18 @@ class PatternViolation(ValueError):
 
 
 def embedding_is_induced(host: Graph, pattern: Graph, emb: Embedding) -> bool:
-    """Check an embedding pairwise: injective and adjacency-preserving both ways."""
+    """Check an embedding: injective, in range, and each pattern vertex's
+    image sees exactly the images of its neighbours among the images."""
     m = emb.mapping
     if len(m) != pattern.n or len(set(m)) != pattern.n:
         return False
     if any(not 0 <= h < host.n for h in m):
         return False
-    for v in range(pattern.n):
-        for u in range(v):
-            if pattern.has_edge(u, v) != host.has_edge(m[u], m[v]):
-                return False
-    return True
+    image = mask_of(m)
+    return all(
+        host.rows[m[v]] & image == mask_of(m[u] for u in iter_bits(pattern.rows[v]))
+        for v in range(pattern.n)
+    )
 
 
 # The image of a pattern vertex is a non-neighbour, a neighbour, or (in
@@ -177,11 +191,13 @@ _NONADJACENT, _ADJACENT, _ABOVE = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
-def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple, tuple, tuple[int, ...]]:
-    """Fix the vertex-pairing order (highest degree first) and precompute,
-    for each position in it, the constraints on its image as ``(earlier
-    position, kind)`` pairs: adjacency to every earlier position, and for
-    first-copy searches also one lex-leader constraint.  Also the degrees.
+def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple, tuple]:
+    """Fix the vertex-pairing order (highest degree first), each vertex's
+    position in it and the degrees in it, and precompute for each position
+    the constraints on its image as ``(earlier position, kind)`` pairs:
+    adjacency to every earlier position, and for first-copy searches also
+    one lex-leader constraint.  Each mode, every copy and first copy, comes
+    as ``(steps, tails)``; see ``_tail_counts``.
 
     The lex-leader rule takes the automorphism generators of the pattern's
     canonical labelling (``graphs._canonical_labeling``).  Let H_i be the
@@ -215,7 +231,28 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple, tuple, tup
         for j, steps in enumerate(every)
     )
     degs = tuple(pattern.degree(v) for v in order)
-    return order, every, first, degs
+    where = tuple(sorted(range(pattern.n), key=order.__getitem__))
+    return order, where, degs, (every, _tail_counts(every)), (first, _tail_counts(first))
+
+
+def _tail_counts(steps: tuple) -> tuple[int, ...]:
+    """For each position i, the number of positions j >= i whose constraints
+    imply each of i's: the same adjacency kind, and for an ``_ABOVE``, a
+    chain of ``_ABOVE``s from j down to its position.  Their images are
+    distinct vertices of i's candidate set (K4: 4, 3, 2, 1)."""
+    below = []  # the positions each image lies above, through chains; one _ABOVE at most
+    for constraints in steps:
+        below.append(sum(1 << i | below[i] for i, kind in constraints if kind == _ABOVE))
+    implies = [[all(below[j] >> p & 1 if kind == _ABOVE else (p, kind) in steps[j] for p, kind in steps[i])
+                for j in range(i, len(steps))] for i in range(len(steps))]
+    return tuple(map(sum, implies))
+
+
+@lru_cache(maxsize=8)
+def _host_masks(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """A host's candidate masks by constraint kind and image: outside its closed
+    neighbourhood, its neighbourhood, above it.  None holds the image itself."""
+    return tuple(~(r | 1 << h) for h, r in enumerate(rows)), rows, tuple(-(2 << h) for h in range(len(rows)))
 
 
 def _induced_copies(
@@ -227,8 +264,13 @@ def _induced_copies(
 
     Pattern vertices are paired off highest degree first and host candidates
     tried in ascending index, so copies come in a fixed order: ascending
-    lexicographically in the images taken in pairing order.  Each placement
-    of a pattern vertex spends one node of the budget.
+    lexicographically in the images taken in pairing order.  Forward checks
+    drop only partial placements that hold no copy: a position with fewer
+    candidates than its tail count (``_tail_counts``) fails at once, and a
+    candidate is skipped when it has too few neighbours or leaves too few
+    host vertices outside the closed neighbourhoods of the images for the
+    pattern's isolated vertices.  Each placement that passes spends one node
+    of the budget; a dropped candidate spends none.
 
     With ``first``, the lex-leader constraints of ``_compile_pattern`` skip
     copies that a pattern automorphism maps onto a smaller one.  Let an
@@ -245,57 +287,44 @@ def _induced_copies(
         return []
     if pattern.n == 0:
         return [()]
-    order, every, first_steps, pat_deg = _compile_pattern(pattern)
-    rows = host.rows
-    co_rows = [~r for r in rows]
-    if first:
-        steps, masks = first_steps, (co_rows, rows, [-(2 << h) for h in range(host.n)])
-    else:
-        steps, masks = every, (co_rows, rows)
+    _, where, degs, every, first_mode = _compile_pattern(pattern)
+    steps, tails = first_mode if first else every
+    co_closed, rows, _ = masks = _host_masks(host.rows)
+    isolated = degs.count(0)
     counter = _counter(budget)
     host_full = (1 << host.n) - 1
     last = pattern.n - 1
     images = [0] * pattern.n
-    found: list[list[int]] = []
-    used = 0
+    found: list[tuple[int, ...]] = []
 
-    def place(i: int) -> bool:
-        nonlocal used
-        cand = host_full & ~used
+    def place(i: int, free: int) -> bool:
+        # free: where isolated vertices can go, outside each image's closed neighbourhood
+        cand = host_full
         for j, kind in steps[i]:
             cand &= masks[kind][images[j]]
-        need = pat_deg[i]
-        if not need and cand.bit_count() <= last - i:
-            # degree 0 comes last in the pairing order: this image and every
-            # later one are distinct vertices of cand
+        if cand.bit_count() < tails[i]:
             return False
+        need = degs[i]
         while cand:
             low = cand & -cand
             h = low.bit_length() - 1
             cand ^= low
-            if rows[h].bit_count() >= need:
-                if counter is not None:
-                    counter.spend()
-                images[i] = h
-                if i == last:
-                    found.append(images[:])
-                    if first:
-                        return True
-                    continue
-                used |= low
-                if place(i + 1):
+            rest = free & co_closed[h]
+            if rows[h].bit_count() < need or need and rest.bit_count() < isolated:
+                continue
+            if counter is not None:
+                counter.spend()
+            images[i] = h
+            if i == last:
+                found.append(tuple([images[k] for k in where]))
+                if first:
                     return True
-                used &= ~low
+            elif place(i + 1, rest):
+                return True
         return False
 
-    place(0)
-    copies = []
-    for placed in found:
-        mapping = [0] * pattern.n
-        for i, p in enumerate(order):
-            mapping[p] = placed[i]
-        copies.append(tuple(mapping))
-    return copies
+    place(0, host_full)
+    return found
 
 
 def find_induced_subgraph(
@@ -309,7 +338,8 @@ def find_induced_subgraph(
     that the pattern's canonical labelling finds skip placements that such a
     symmetry maps onto a smaller one, and never the least embedding (see
     ``_compile_pattern`` and ``_induced_copies``).  The result is re-checked before it is returned.
-    ``budget`` caps the placements tried (see ``chroma._Budget``).
+    ``budget`` caps the placements tried (see ``chroma._Budget``); a
+    candidate that a forward check of ``_induced_copies`` drops spends none.
     """
     copies = _induced_copies(host, pattern, budget, first=True)
     if not copies:

@@ -64,12 +64,23 @@ def naive_find_embedding(host: Graph, pattern: Graph) -> Optional[tuple[int, ...
     """First injective map (in permutation order) preserving adjacency and
     non-adjacency."""
     for image in permutations(range(host.n), pattern.n):
-        if all(
-            host.has_edge(image[i], image[j]) == pattern.has_edge(i, j)
-            for i, j in combinations(range(pattern.n), 2)
-        ):
+        if naive_embedding_is_induced(host, pattern, image):
             return image
     return None
+
+
+def naive_embedding_is_induced(host: Graph, pattern: Graph, image: tuple[int, ...]) -> bool:
+    """One image per pattern vertex, all distinct and inside the host, and
+    every pair of pattern vertices adjacent exactly when their images are."""
+    return (
+        len(image) == pattern.n
+        and len(set(image)) == pattern.n
+        and all(0 <= h < host.n for h in image)
+        and all(
+            host.has_edge(image[i], image[j]) == pattern.has_edge(i, j)
+            for i, j in combinations(range(pattern.n), 2)
+        )
+    )
 
 
 def naive_contains_induced(host: Graph, pattern: Graph) -> bool:

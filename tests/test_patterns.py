@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+import random
 import time
 from itertools import permutations
 
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from critcolor.chroma import BudgetExhausted, _Budget
 from critcolor.critical import CriticalDb, write_critdb
-from critcolor.graphs import complete_graph, disjoint_union, empty_graph, from_edges, parse_graph6
+from critcolor.graphs import complement, complete_graph, disjoint_union, empty_graph, from_edges, parse_graph6
 from critcolor.patterns import (
     BULL,
     CHAIR,
@@ -39,7 +42,7 @@ from critcolor.patterns import (
 )
 
 from conftest import graphs
-from oracles import naive_contains_induced, naive_is_isomorphic
+from oracles import naive_contains_induced, naive_embedding_is_induced, naive_is_isomorphic
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -122,11 +125,35 @@ def test_chair_shape_sits_inside_longer_brooms(m):
         lambda: PatternSpec("chair", 1),
         lambda: PatternSpec("path", 4, 7),
         lambda: PatternSpec("path", 4, parts=(path(1),)),
+        # a union takes no integer parameter: this one would print as P4+P1
+        lambda: PatternSpec("union", 5, parts=(path(4), path(1))),
+        lambda: PatternSpec("union", 0, 2, parts=(path(4), path(1))),
     ],
 )
 def test_invalid_specs_raise(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_a_union_with_a_parameter_names_the_rule():
+    with pytest.raises(ValueError, match="union takes 0 integer parameter"):
+        PatternSpec("union", 5, parts=(path(4), path(1)))
+
+
+def test_specs_are_interned_and_hash_like_fresh_ones():
+    assert path(4) is path(4) and clique(5) is clique(5)
+    assert plus_isolated(path(4), 2) is plus_isolated(path(4), 2)
+    for spec, fresh in [
+        (path(4), PatternSpec("path", 4)),
+        (plus_isolated(path(4), 2), PatternSpec("union", parts=(PatternSpec("path", 4),) + (PatternSpec("path", 1),) * 2)),
+        (GEM, PatternSpec("gem")),
+    ]:
+        assert spec == fresh and hash(spec) == hash(fresh)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+        assert {back: 1}[spec] == 1 and realize(back) == realize(spec)
+    # the pickle carries the fields, never a hash from its own process
+    assert b"_hash" not in pickle.dumps(path(4))
 
 
 def _atoms_at_and_above_their_floors():
@@ -364,12 +391,25 @@ def test_induced_copies_are_every_induced_embedding(host, pattern):
     copies = _induced_copies(host, pattern)
     want = {
         image for image in permutations(range(host.n), pattern.n)
-        if embedding_is_induced(host, pattern, Embedding(image))
+        if naive_embedding_is_induced(host, pattern, image)
     }
     assert len(copies) == len(set(copies)) and set(copies) == want
     first = find_induced_subgraph(host, pattern)
     assert _induced_copies(host, pattern, first=True) == copies[:1]
     assert (first is None and not copies) or first.mapping == copies[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=7), graphs(max_n=5), st.data())
+def test_embedding_is_induced_agrees_with_pairwise_check(host, pattern, data):
+    # any tuple of the right length or one off, with repeats and vertices
+    # outside the host allowed: non-injective, non-induced and out-of-range
+    # mappings all come up, and the copies found test the induced ones
+    size = data.draw(st.sampled_from([pattern.n, pattern.n, pattern.n + 1, max(pattern.n - 1, 0)]))
+    mapping = tuple(data.draw(st.lists(st.integers(-1, host.n), min_size=size, max_size=size)))
+    candidates = [mapping] + _induced_copies(host, pattern)[:3]
+    for image in candidates:
+        assert embedding_is_induced(host, pattern, Embedding(image)) == naive_embedding_is_induced(host, pattern, image)
 
 
 def test_empty_pattern_has_one_copy():
@@ -403,12 +443,62 @@ def test_pattern_search_spends_its_budget():
 
 def test_first_copy_search_breaks_the_end_swap_of_the_path(petersen):
     # the Petersen graph has no induced P4+2P1; the path's ends go in
-    # ascending order, so the search takes 115 placements, where breaking
-    # only twin swaps (the two isolated vertices) took 340
+    # ascending order and the forward checks drop partial paths that leave
+    # no room for the isolated vertices, so the search takes 55 placements,
+    # where the end swap alone took 115 and breaking only twin swaps (the
+    # two isolated vertices) took 340
     p4_2p1 = realize(plus_isolated(path(4), 2))
-    assert find_induced_subgraph(petersen, p4_2p1, budget=115) is None
+    assert find_induced_subgraph(petersen, p4_2p1, budget=55) is None
     with pytest.raises(BudgetExhausted):
-        find_induced_subgraph(petersen, p4_2p1, budget=114)
+        find_induced_subgraph(petersen, p4_2p1, budget=54)
+
+
+def test_forward_checks_drop_placements_without_spending(petersen):
+    # L(K5), the complement of the Petersen graph: 6-regular on 10 vertices,
+    # with independence number 2 and clique number 4
+    lk5 = complement(petersen)
+    # each first vertex of the path leaves 3 vertices outside its closed
+    # neighbourhood and each second one fewer than 3, so only the 10 first
+    # placements spend a node; before the forward checks it took 160
+    p4_3p1 = realize(plus_isolated(path(4), 3))
+    assert find_induced_subgraph(lk5, p4_3p1, budget=10) is None
+    with pytest.raises(BudgetExhausted):
+        find_induced_subgraph(lk5, p4_3p1, budget=9)
+    # K5 has no isolated vertices: the tail counts (5, 4, 3, 2, 1) cut the
+    # search from 75 placements to 50
+    k5 = realize(clique(5))
+    assert find_induced_subgraph(lk5, k5, budget=50) is None
+    with pytest.raises(BudgetExhausted):
+        find_induced_subgraph(lk5, k5, budget=49)
+
+
+def _random_hosts(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        n, p = 7 + i % 5, 0.3 + 0.1 * (i // 5 % 5)
+        yield from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+# sha256 of the copies of the patterns below in 500 seeded G(n, p) hosts, as
+# the search found them before its forward checks: the checks only cut
+# subtrees that hold no copy, so the copies and their order stay the same
+FIRST_COPIES_SHA256 = "d4a6704cb00d7b9904dab11e105e0918a62455f349584955c701ed3674a6a8e0"
+EVERY_COPY_SHA256 = "3b2d30c49492650c145927a8a7995e849a2497785a1a19de1ab73c966793f54a"
+
+
+def test_copies_match_the_search_without_forward_checks():
+    from critcolor.enumeration import enumerate_critical
+
+    specs = [path(4)] + [plus_isolated(path(4), ell) for ell in (1, 2, 3)] + [clique(k) for k in range(3, 7)]
+    members = [parse_graph6(text) for text in enumerate_critical(4, 7).members]
+    assert len(members) == 9
+    patterns = [realize(spec) for spec in specs] + members
+    for first, want in [(True, FIRST_COPIES_SHA256), (False, EVERY_COPY_SHA256)]:
+        digest = hashlib.sha256()
+        for host in _random_hosts(500, 20260415):
+            for pattern in patterns:
+                digest.update(repr(_induced_copies(host, pattern, first=first)).encode())
+        assert digest.hexdigest() == want
 
 
 def _brute_force_orbits(pattern, order):
@@ -442,7 +532,7 @@ def _symmetry_test_patterns():
 
 def test_stabiliser_orbits_match_brute_force():
     for pattern in _symmetry_test_patterns():
-        order, _, first, _ = _compile_pattern(pattern)
+        order, *_, (first, _) = _compile_pattern(pattern)
         orbits = _brute_force_orbits(pattern, order)
         for j, steps in enumerate(first):
             sources = [i for i in range(j) if orbits[i] >> j & 1]
@@ -453,7 +543,7 @@ def test_stabiliser_orbits_match_brute_force():
 
 def _above(spec):
     """The positions each position's image must lie above, by position."""
-    first = _compile_pattern(realize(spec))[2]
+    first = _compile_pattern(realize(spec))[-1][0]
     return [tuple(i for i, kind in steps if kind == _ABOVE) for steps in first]
 
 
@@ -466,6 +556,22 @@ def test_lex_leader_constraints_of_named_patterns():
     # fixing vertex 0 puts vertex 4 above vertex 1
     assert _above(cycle(5)) == [(), (0,), (0,), (0,), (1,)]
     assert _above(clique(4)) == [(), (0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize(
+    "spec, every, first",
+    [
+        (clique(4), (4, 3, 2, 1), (4, 3, 2, 1)),
+        # the path's ends: in the first-copy mode only the second end lies
+        # above the first, so the first end does not count the second
+        (path(4), (4, 2, 1, 1), (4, 1, 1, 1)),
+        (plus_isolated(path(4), 2), (6, 2, 1, 1, 2, 1), (6, 1, 1, 1, 2, 1)),
+        (cycle(5), (5, 2, 1, 1, 1), (5, 2, 1, 1, 1)),
+    ],
+)
+def test_tail_counts_of_named_patterns(spec, every, first):
+    *_, (_, every_tails), (_, first_tails) = _compile_pattern(realize(spec))
+    assert (every_tails, first_tails) == (every, first)
 
 
 def test_compiling_a_large_clique_is_cheap():

@@ -47,39 +47,47 @@ adding v to a parent therefore contains a family graph F only through a copy
 that uses v: a copy of F - p inside the parent, on some vertex set S, with
 N(v) & S equal to the image of p's neighbours (the trace).  So each parent
 lists, once, every induced copy of every F - p (one p per orbit of Aut(F))
-as an (S, trace) pair, and a neighbourhood mask nb is rejected exactly when
-nb & S is a trace of some S, before the child is built.  When F - p is
-empty, S and the trace are both 0 and every child is rejected.
+as an (S, trace) pair and marks, in a table of one byte per neighbourhood
+mask, every nb with nb & S equal to the trace.  When F - p is empty, S and
+the trace are both 0 and every mask is marked.  Containing a family graph is
+isomorphism-invariant, so the table is a union of orbits of the parent's
+automorphisms; the orbit walk starts from it as its set of masks already
+seen, and a forbidden orbit is neither yielded nor walked.
 
-A per-parent classifier then sorts every surviving child: extended (it
-becomes a parent of the next level), emitted (it goes forward as a candidate
-answer) or dropped.  Extended and emitted children are deduplicated by
-canonical form per level.  The filter and every classifier test are
-isomorphism-invariant, so the orbit pruning changes no output.  Plain
-enumeration extends everything; critical enumeration extends the
-(k-1)-colourable children and emits the ones that pass the cheap
-criticality screens.  It colours each parent once with k-1 colours (every
-parent is (k-1)-colourable): a new vertex that misses one colour class takes
-that colour, so only the children whose neighbourhood meets every class are
-coloured from scratch.
+A per-parent classifier then sorts every surviving child by its mask alone,
+before the child is built: extended (it becomes a parent of the next
+level), emitted (it goes forward as a candidate answer) or dropped.
+Extended and emitted children are deduplicated by canonical form per level.
+The filter and every classifier test are isomorphism-invariant, so the orbit
+pruning changes no output.  Plain enumeration extends everything; critical
+enumeration extends the (k-1)-colourable children and emits the ones that
+pass the cheap criticality screens.  No child is coloured.  Each parent
+(every one is (k-1)-colourable) lists once its extendable classes: the
+inclusion-minimal independent sets S with chi(P - S) <= k - 2.  A child is
+(k-1)-colourable exactly when its new vertex misses one of them, which is
+the extension test of exhaustive k-critical generation (Goedgebeur and
+Schaudt, "Exhaustive generation of k-critical H-free graphs", 2018).  The
+screens (connected, minimum degree k - 1, no nonadjacent pair with nested
+neighbourhoods) are decided on the mask as well.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from . import chroma
-from .critical import CriticalDb, criticality_report, find_comparable_nonadjacent
+from .critical import CriticalDb, criticality_report
 from .graphs import (
     Graph,
     Graph6Error,
     _canonical_labeling,
+    _component,
     _encode_graph6,
     _orbit,
     _rows_from_bits,
     delete_vertex,
     is_connected,
     iter_bits,
+    mask_of,
     parse_graph6,
     without_vertex,
 )
@@ -99,11 +107,14 @@ def canonical_form(g: Graph) -> str:
     return _encode_graph6(g.n, _canonical_labeling(g)[0])
 
 
-def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[int]:
+def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0, seen: Optional[bytearray] = None) -> Iterator[int]:
     """The least mask of each orbit of the group the vertex maps ``gens``
     generate, acting on the subsets of n vertices, ascending, over the masks
     of at least ``floor`` vertices.  A vertex map keeps the size of a
-    mask, so those orbits are whole and the smaller masks are never mapped."""
+    mask, so those orbits are whole and the smaller masks are never mapped.
+    ``seen``, a byte per mask, marks masks to pass over; it must be a union
+    of orbits, so that an orbit is skipped whole or walked from its least
+    mask.  It is written to as orbits are walked."""
     tables = []  # per generator: images of the low byte and of the bits above it
     for p in gens:
         low, high = [0] * (1 << min(n, 8)), [0] * (1 << max(n - 8, 0))
@@ -112,7 +123,8 @@ def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[i
                 top = b.bit_length() - 1
                 table[b] = table[b ^ 1 << top] | 1 << p[base + top]
         tables.append((low, high))
-    seen = bytearray(1 << n)
+    if seen is None:
+        seen = bytearray(1 << n)
     for rep in range(1 << n):
         if seen[rep] or rep.bit_count() < floor:
             continue
@@ -151,11 +163,13 @@ def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph,
     return out
 
 
-def _forbidden_traces(parent: Graph, trace_patterns: list[tuple[Graph, int]]) -> dict[int, set[int]]:
-    """The forbidden traces of a family-free parent, by vertex set S: a new
-    vertex with neighbourhood nb completes a family graph exactly when
-    nb & S is one of the traces of some S."""
-    traces: dict[int, set[int]] = {}
+def _forbidden_traces(parent: Graph, trace_patterns: list[tuple[Graph, int]]) -> bytearray:
+    """The forbidden neighbourhoods of a new vertex of a family-free parent,
+    as a byte per mask nb: set exactly when nb & S is a trace of some copy
+    S, that is, when the child completes a family graph.  Each (S, trace)
+    marks the masks trace | X for every X outside S."""
+    full = (1 << parent.n) - 1
+    table = bytearray(1 << parent.n)
     for rest, p_nbrs in trace_patterns:
         for mapping in _induced_copies(parent, rest):
             s = trace = 0
@@ -163,8 +177,13 @@ def _forbidden_traces(parent: Graph, trace_patterns: list[tuple[Graph, int]]) ->
                 s |= 1 << h
                 if p_nbrs >> u & 1:
                     trace |= 1 << h
-            traces.setdefault(s, set()).add(trace)
-    return traces
+            free = sub = full & ~s
+            while True:
+                table[trace | sub] = 1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    return table
 
 
 def _outranked(child: Graph, ties: int) -> bool:
@@ -181,20 +200,21 @@ def _outranked(child: Graph, ties: int) -> bool:
 
 _EXTEND, _EMIT = "extend", "emit"
 
-_ChildClassifier = Callable[[Graph, int, int], Optional[str]]
+_ChildClassifier = Callable[[int, int], Optional[str]]
 
 
 def _walk(
     n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
-    ``classify(parent)``; each family-free child on n vertices whose new
-    vertex maximises the invariant of the canonical-deletion rule, with the
-    new vertex's neighbourhood mask nb, is classified by ``classifier(child,
-    n, nb)`` as _EXTEND, _EMIT or None (dropped).  Yields, per order n, one
-    canonical representative per class of extended children, which are also
-    the next level's parents, and one per class of emitted children, keyed
-    by canonical form in sorted order."""
+    ``classify(parent)``; each family-free child on n vertices, given by the
+    new vertex's neighbourhood mask nb, is classified by ``classifier(n,
+    nb)`` as _EXTEND, _EMIT or None (dropped) before it is built, and a kept
+    child is built only when its new vertex maximises the invariant of the
+    canonical-deletion rule.  Yields, per order n, one canonical
+    representative per class of extended children, which are also the next
+    level's parents, and one per class of emitted children, keyed by
+    canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
@@ -204,29 +224,28 @@ def _walk(
         extended: dict[int, Sequence[list[int]]] = {}
         emitted: set[int] = set()
         for parent, gens in zip(parents, parent_gens):
-            forbidden = _forbidden_traces(parent, trace_patterns)
             classify_child = classify(parent)
             by_degree: dict[int, int] = {}  # degree -> mask of the parent's vertices
             for u, row in enumerate(parent.rows):
                 deg = row.bit_count()
                 by_degree[deg] = by_degree.get(deg, 0) | 1 << u
             top = max(by_degree, default=0)
-            for nb in _orbit_reps(parent.n, gens, top):
-                if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
-                    continue
+            for nb in _orbit_reps(parent.n, gens, top, _forbidden_traces(parent, trace_patterns)):
                 # the new vertex has degree d >= top; a parent vertex of degree
                 # d inside nb outgrows it, and those that reach d tie with it
                 d = nb.bit_count()
                 if nb & by_degree.get(d, 0):
                     continue
+                kind = classify_child(n, nb)
+                if kind is None:
+                    continue
                 ties = by_degree.get(d, 0) | nb & by_degree.get(d - 1, 0)
                 child = _attach(parent, nb)
                 if ties and _outranked(child, ties):
                     continue
-                kind = classify_child(child, n, nb)
                 if kind == _EMIT:
                     emitted.add(_canonical_labeling(child)[0])
-                elif kind == _EXTEND:
+                else:
                     bits, label, child_gens = _canonical_labeling(child)
                     if bits not in extended:
                         pos = sorted(range(n), key=label.__getitem__)  # label's inverse
@@ -237,7 +256,7 @@ def _walk(
         yield n, parents, {_encode_graph6(n, bits): Graph(n, _rows_from_bits(n, bits)) for bits in sorted(emitted)}
 
 
-def _always_extend(child: Graph, n: int, nb: int) -> str:
+def _always_extend(n: int, nb: int) -> str:
     return _EXTEND
 
 
@@ -266,29 +285,121 @@ def enumerate_up_to(
                 yield g
 
 
-def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
-    """The child classifier of critical enumeration for one parent: extend
-    the (k-1)-colourable children below n_max, emit the others that pass the
-    cheap criticality screens.  Parents are (k-1)-colourable (nothing else is
-    extended), and a new vertex that misses a colour class of the parent's
-    colouring takes that colour; an unused colour is a class every vertex
-    misses.  Only the other children are coloured from scratch."""
-    classes = [0] * (k - 1)
-    for v, c in enumerate(chroma.is_k_colorable(parent, k - 1).assignment):
-        classes[c - 1] |= 1 << v
+def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool]) -> bool:
+    """Whether the vertices of ``mask`` induce a c-colourable graph.  The
+    colour class of the lowest vertex can be taken maximal (a vertex moved
+    into it keeps the colouring proper), so the mask is c-colourable exactly
+    when, for some maximal independent set I of it holding that vertex, the
+    rest is (c-1)-colourable.  One colour fits exactly an independent mask."""
+    if mask.bit_count() <= c:
+        return True
+    if c <= 1:
+        if c < 1:
+            return False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & mask:
+                return False
+            rest ^= low
+        return True
+    key = (mask, c)
+    hit = memo.get(key)
+    if hit is None:
+        low = mask & -mask
+        hit = memo[key] = _class_completes(rows, mask, c, memo, low, mask & ~rows[low.bit_length() - 1] ^ low, 0)
+    return hit
 
-    def classify_child(child: Graph, n: int, nb: int) -> Optional[str]:
-        if any(not nb & c for c in classes) or chroma.is_k_colorable(child, k - 1) is not None:
+
+def _class_completes(
+    rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool], s: int, cand: int, passed: int
+) -> bool:
+    """Whether the independent set s grows, by vertices of ``cand`` (those of
+    the mask that no vertex of s sees), into a maximal independent set of the
+    mask whose rest is (c-1)-colourable.  ``passed`` holds the vertices left
+    out of s that no vertex of s sees yet: a later vertex must block each."""
+    if not _colourable(rows, mask & ~s & ~cand, c - 1, memo):
+        return False  # the rest only grows from here
+    if not cand:
+        return not passed
+    bit = cand & -cand
+    row = rows[bit.bit_length() - 1]
+    if _class_completes(rows, mask, c, memo, s | bit, cand & ~row ^ bit, passed & ~row):
+        return True
+    # leave the vertex out only when a candidate can still block it
+    return bool(row & cand) and _class_completes(rows, mask, c, memo, s, cand ^ bit, passed | bit)
+
+
+def _extendable_classes(parent: Graph, k: int) -> list[int]:
+    """The inclusion-minimal independent sets S of the parent with
+    chi(parent - S) <= k - 2, ascending by size.  A child with new
+    neighbourhood nb is (k-1)-colourable exactly when nb misses one of them:
+    the new vertex's colour class minus the vertex is such an S, and
+    conversely the new vertex takes S's colour.  With k - 1 < 1 colours the
+    new vertex has none: no S qualifies, as no chromatic number is below 0."""
+    rows, full = parent.rows, (1 << parent.n) - 1
+    memo: dict[tuple[int, int], bool] = {}
+    classes: list[int] = []
+    # independent sets by size, each with the vertices above its top that can
+    # join it; a set holding a class is not minimal, and neither are its supersets
+    level = [(0, full)]
+    while level:
+        larger = []
+        for s, joinable in level:
+            if any(not c & ~s for c in classes):
+                continue
+            if _colourable(rows, full & ~s, k - 2, memo):
+                classes.append(s)
+                continue
+            for v in iter_bits(joinable):
+                larger.append((s | 1 << v, joinable & ~rows[v] & ~((2 << v) - 1)))
+        level = larger
+    return classes
+
+
+def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
+    """The cheap screens of criticality for the child with new neighbourhood
+    nb, decided on nb: the child must be connected, have minimum degree at
+    least k - 1 and have no nonadjacent pair u, w with N(u) ⊆ N(w)."""
+    n, rows = parent.n, parent.rows
+    full = (1 << n) - 1
+    if any(row.bit_count() < k - 2 for row in rows):
+        return lambda nb: False
+    short = mask_of(v for v in range(n) if rows[v].bit_count() == k - 2)  # need the new vertex
+    components = {_component(parent, v) for v in range(n)}  # nb must meet each
+    # nested parent pairs stay nested unless the new vertex sees u and not w
+    nested = [(1 << u, 1 << w) for u in range(n) for w in range(n)
+              if u != w and not rows[u] >> w & 1 and not rows[u] & ~rows[w]]
+
+    def passes(nb: int) -> bool:
+        return (
+            nb.bit_count() >= k - 1
+            and not short & ~nb
+            and all(nb & comp for comp in components)
+            and all(nb & u and not nb & w for u, w in nested)
+            and not any(not nb & ~rows[w] or not rows[w] & ~nb for w in iter_bits(full & ~nb))
+        )
+
+    return passes
+
+
+def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
+    """The child classifier of critical enumeration for one parent, on the
+    new vertex's neighbourhood mask alone: extend the (k-1)-colourable
+    children below n_max, which the parent's extendable classes decide, and
+    emit the others that pass the cheap criticality screens.  Parents are
+    (k-1)-colourable (nothing else is extended), so a child that is not has
+    chromatic number exactly k."""
+    classes = _extendable_classes(parent, k)
+    screen: Optional[Callable[[int], bool]] = None  # made at the first k-chromatic child
+
+    def classify_child(n: int, nb: int) -> Optional[str]:
+        nonlocal screen
+        if any(not nb & s for s in classes):
             return _EXTEND if n < n_max else None
-        # chi is exactly k here: the parent was (k-1)-colourable, so one
-        # added vertex cannot push the chromatic number past k
-        if (
-            not is_connected(child)
-            or min(child.degree(v) for v in range(child.n)) < k - 1
-            or find_comparable_nonadjacent(child) is not None
-        ):
-            return None
-        return _EMIT
+        if screen is None:
+            screen = _emission_screen(parent, k)
+        return _EMIT if screen(nb) else None
 
     return classify_child
 

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcolor.critical import CriticalDb, criticality_report, load_critdb, write_critdb
+from critcolor import chroma
+from critcolor.critical import CriticalDb, criticality_report, find_comparable_nonadjacent, load_critdb, write_critdb
 from critcolor.enumeration import (
     _EMIT,
     _EXTEND,
     _attach,
     _critical_classifier,
+    _emission_screen,
     _extend_all,
+    _extendable_classes,
     _forbidden_traces,
     _orbit_reps,
     _trace_patterns,
@@ -30,15 +33,18 @@ from critcolor.graphs import (
     _canonical_labeling,
     _refine,
     complete_graph,
+    delete_vertex,
     empty_graph,
     from_edges,
+    induced_subgraph,
+    is_connected,
     parse_graph6,
     to_graph6,
 )
 from critcolor.patterns import clique, is_free, parse_pattern, path, realize, union
 
 from conftest import graphs, random_graph
-from oracles import brute_canonical_key, naive_is_isomorphic
+from oracles import brute_canonical_key, naive_chromatic, naive_is_isomorphic
 
 # unlabeled simple graphs by order, then the connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -266,6 +272,20 @@ def test_orbit_reps_above_a_floor_are_the_large_reps(floor):
     assert list(_orbit_reps(5, [rotation, reflection], floor)) == [r for r in reps if r.bit_count() >= floor]
 
 
+@pytest.mark.parametrize("floor", [0, 2])
+def test_orbit_reps_from_a_seeded_table_skip_exactly_the_marked_orbits(floor):
+    rng = random.Random(5)
+    for n, gens in [(5, [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]), (6, [rng.sample(range(6), 6), rng.sample(range(6), 6)])]:
+        group = group_closure(n, gens)
+        reps = list(_orbit_reps(n, gens, floor))
+        marked = set(rng.sample(reps, len(reps) // 3))
+        seen = bytearray(1 << n)
+        for rep in marked:
+            for p in group:
+                seen[apply_map(p, rep)] = 1
+        assert list(_orbit_reps(n, gens, floor, seen)) == [r for r in reps if r not in marked]
+
+
 def test_orbit_reps_map_masks_past_the_low_byte():
     # the dihedral group of an 11-cycle; Burnside: (2048 + 10*2 + 11*64) / 22
     rotation = list(range(1, 11)) + [0]
@@ -351,15 +371,16 @@ def test_pruned_enumeration_equals_post_filtering(family, all_graphs_up_to_6):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=",".join)
 def test_forbidden_traces_reject_exactly_the_children_containing_the_family(family):
+    # every mask of the table, not only the orbit representatives the walk reads
     specs = [parse_pattern(t) for t in family]
     trace_patterns = _trace_patterns([realize(s) for s in specs], 7)
     rejected = 0
     for parent in [Graph(0, ())] + list(enumerate_up_to(6, filters=specs)):
-        forbidden = _forbidden_traces(parent, trace_patterns)
-        for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[2]):
-            hit = any(nb & s in traces for s, traces in forbidden.items())
-            assert hit == (not is_free(_attach(parent, nb), specs)[0]), (to_graph6(parent), nb)
-            rejected += hit
+        table = _forbidden_traces(parent, trace_patterns)
+        assert len(table) == 1 << parent.n
+        for nb in range(1 << parent.n):
+            assert table[nb] == (not is_free(_attach(parent, nb), specs)[0]), (to_graph6(parent), nb)
+        rejected += sum(table)
     assert rejected > 0
 
 
@@ -380,28 +401,73 @@ def test_critical_enumeration_equals_post_filtering(spec_text, four_critical_up_
     assert list(enumerate_critical(4, 7, [spec]).members) == want
 
 
-def test_parent_colouring_shortcut(monkeypatch):
-    from critcolor import chroma
+def colourable_parents(k: int, count: int, seed: int):
+    """Seeded random (k-1)-colourable graphs on 0..8 vertices, dense enough
+    that some of their children need all k colours."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng.randint(0, 8), rng.choice([0.2, 0.4, 0.6, 0.8]), rng.randrange(2**30))
+        if chroma.is_k_colorable(g, max(k - 1, 0)) is not None:
+            out.append(g)
+    return out
 
-    coloured = []
-    real = chroma.is_k_colorable
-    monkeypatch.setattr(chroma, "is_k_colorable", lambda g, k, budget=None: coloured.append(g) or real(g, k, budget))
-    # K2 takes 2 of the k - 1 = 3 colours: the unused one fits every new vertex
-    classify_child = _critical_classifier(complete_graph(2), 4, 7)
-    assert len(coloured) == 1
-    for nb in range(4):
-        assert classify_child(_attach(complete_graph(2), nb), 3, nb) == _EXTEND
-    assert len(coloured) == 1
-    # K3 uses all three: only the vertex seeing every class is coloured anew
-    classify_child = _critical_classifier(complete_graph(3), 4, 7)
-    for nb in range(7):
-        assert classify_child(_attach(complete_graph(3), nb), 4, nb) == _EXTEND
-    assert len(coloured) == 2
-    assert classify_child(complete_graph(4), 4, 7) == _EMIT
-    assert coloured[-1] == complete_graph(4)
-    # at the last order colourable children are dropped, shortcut or not
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_extendable_classes_decide_child_colourability(k):
+    # a child is (k-1)-colourable exactly when its new vertex misses a class
+    rng = random.Random(k)
+    kinds = set()
+    for parent in colourable_parents(k, 60, seed=k):
+        classes = _extendable_classes(parent, k)
+        classify_child = _critical_classifier(parent, k, parent.n + 2)
+        for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
+            colourable = chroma.is_k_colorable(_attach(parent, nb), k - 1) is not None
+            assert any(not nb & s for s in classes) == colourable, (to_graph6(parent), nb, k)
+            kind = classify_child(parent.n + 1, nb)
+            assert (kind == _EXTEND) == colourable
+            kinds.add(colourable)
+    assert kinds == ({False} if k == 1 else {False, True})
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extendable_classes_are_the_minimal_colour_classes(k):
+    # by brute force: the independent sets S with chi(P - S) <= k - 2 that
+    # contain no other such set
+    for parent in colourable_parents(k, 25, seed=100 + k):
+        valid = [
+            s for s in range(1 << parent.n)
+            if all(not parent.rows[v] & s for v in range(parent.n) if s >> v & 1)
+            and chroma.is_k_colorable(induced_subgraph(parent, [v for v in range(parent.n) if not s >> v & 1]), k - 2)
+            is not None
+        ]
+        minimal = {s for s in valid if not any(t != s and not t & ~s for t in valid)}
+        classes = _extendable_classes(parent, k)
+        assert len(classes) == len(minimal) and set(classes) == minimal, to_graph6(parent)
+        assert [s.bit_count() for s in classes] == sorted(s.bit_count() for s in classes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_emission_screen_equals_the_screens_on_the_child(k):
+    rng = random.Random(200 + k)
+    for _ in range(40):
+        parent = random_graph(rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]), rng.randrange(2**30))
+        screen = _emission_screen(parent, k)
+        for nb in range(1 << parent.n):
+            child = _attach(parent, nb)
+            want = (
+                is_connected(child)
+                and min(child.degree(v) for v in range(child.n)) >= k - 1
+                and find_comparable_nonadjacent(child) is None
+            )
+            assert screen(nb) == want, (to_graph6(parent), nb, k)
+
+
+def test_a_colourable_child_is_dropped_at_the_last_order():
     classify_last = _critical_classifier(complete_graph(3), 4, 4)
-    assert classify_last(_attach(complete_graph(3), 3), 4, 3) is None
+    assert classify_last(4, 3) is None
+    assert _critical_classifier(complete_graph(3), 4, 5)(4, 3) == _EXTEND
+    assert classify_last(4, 7) == _EMIT  # K4
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +476,9 @@ def test_parent_colouring_shortcut(monkeypatch):
 
 
 def reference_walk(n_max, family, classify):
-    """The level walk without the canonical-deletion rule: every orbit
-    representative that passes the traces is classified and canonicalised."""
+    """The level walk without the canonical-deletion rule and without the
+    seeded orbit walk: every orbit representative is looked up in the trace
+    table, and each one that passes is classified and canonicalised."""
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
     parents = [Graph(0, ())]
     for n in range(1, n_max + 1):
@@ -420,10 +487,10 @@ def reference_walk(n_max, family, classify):
             forbidden = _forbidden_traces(parent, trace_patterns)
             classify_child = classify(parent)
             for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[2]):
-                if forbidden and any(nb & s in traces for s, traces in forbidden.items()):
+                if forbidden[nb]:
                     continue
                 child = _attach(parent, nb)
-                kind = classify_child(child, n, nb)
+                kind = classify_child(n, nb)
                 if kind == _EXTEND:
                     canon = canonical_form(child)
                     if canon not in extended:
@@ -506,7 +573,7 @@ def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch
 
     checked = []
 
-    def orbit_reps(n, gens, floor=0):
+    def orbit_reps(n, gens, floor=0, seen=None):
         parent = parent_of[-1]
         assert parent.n == n and canonical_form(parent) == to_graph6(parent)
         for p in gens:
@@ -514,7 +581,7 @@ def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch
             for u in range(n):
                 assert sum(1 << p[w] for w in range(n) if parent.rows[u] >> w & 1) == parent.rows[p[u]]
         checked.append((parent, len(gens)))
-        return real_reps(n, gens, floor)
+        return real_reps(n, gens, floor, seen)
 
     monkeypatch.setattr(enumeration, "_forbidden_traces", traces)
     monkeypatch.setattr(enumeration, "_orbit_reps", orbit_reps)
@@ -581,6 +648,37 @@ def test_enumerate_critical_output_verifies(k, family):
     # the family filter applies at every order, the single vertex included
     db = enumerate_critical(k, 5, [parse_pattern(t) for t in family])
     assert verify_critdb(db)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", [[], ["K2"], ["P4+P1"]], ids=lambda f: ",".join(f) or "none")
+def test_the_small_critical_lists_are_pinned(n_max, family):
+    # with k - 1 = 0 colours no child is colourable, so only the single
+    # vertex is 1-critical; K2 is the only 2-critical graph
+    specs = [parse_pattern(t) for t in family]
+    assert enumerate_critical(1, n_max, specs).members == ("@",)
+    want = () if n_max < 2 or family == ["K2"] else (canonical_form(complete_graph(2)),)
+    assert enumerate_critical(2, n_max, specs).members == want
+
+
+@pytest.fixture(scope="module")
+def all_graphs_up_to_7():
+    return list(enumerate_up_to(7))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_critical_enumeration_equals_screening_every_graph(k, all_graphs_up_to_7):
+    # independent of the critical walk: every graph up to 7 vertices, the
+    # necessary conditions, the full check, and the naive chromatic number
+    kept = [
+        g for g in all_graphs_up_to_7
+        if is_connected(g) and min(g.degree(v) for v in range(g.n)) >= k - 1 and criticality_report(g, k).verdict
+    ]
+    for g in kept:
+        assert naive_chromatic(g) == k
+        assert all(naive_chromatic(delete_vertex(g, v)) == k - 1 for v in range(g.n))
+    assert [to_graph6(g) for g in kept] == list(enumerate_critical(k, 7).members)
+    assert len(kept) == {3: 3, 4: 9, 5: 2}[k]
 
 
 def test_p1_free_family_has_no_critical_graphs():

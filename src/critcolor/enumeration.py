@@ -1,16 +1,9 @@
 """Isomorphism-free enumeration of small graphs and critical-graph harvesting.
 
-Canonical forms come from the usual partition-refinement scheme of
-``graphs._canonical_labeling``: vertices are partitioned by degree, the
-partition is refined to equitability, and a backtracking search over the
-permutations still compatible with it picks the relabelling whose adjacency
-bit-string is smallest; that bit-string, in graph6 pair order, is the
-canonical form's graph6 body.  Automorphisms discovered along the way (two
-branches producing the same bit-string) prune sibling branches, which keeps
-highly symmetric graphs like cycles and edgeless graphs from exploding into
-factorial search.  Refinement skips splitters known to split nothing: such a
-splitter splits no refinement of the partition either, so the set of them
-is handed down the search tree.
+Canonical forms come from ``graphs._canonical_labeling``: the degree
+partition is refined to equitability, and a backtracking search, pruned by
+the automorphisms it finds, picks the relabelling with the smallest
+adjacency bit-string, which in graph6 pair order is the canonical graph6 body.
 
 Enumeration is one walk up the orders 1, 2, ... n, starting from the empty
 graph: every n-vertex graph arises from some (n-1)-vertex graph by adding one
@@ -35,40 +28,36 @@ tries, under automorphisms the labelling found; the child from that mask is
 isomorphic to X by a map sending the new vertex to m, so it passes.
 Automorphisms the labelling missed only split orbits, so the rule needs no
 complete group.  And P is a parent: plain enumeration extends every graph,
-and critical enumeration every family-free (k-1)-colourable graph below
-n_max, which X - m is when X is extended (heredity) and when X is k-critical
-(criticality).  Emitted children that are not critical may be missed; no
-member is.  The duplicates left, from ties and from distinct parents, meet
-in the per-level dictionary keyed by canonical form.
+and critical enumeration every family-free (k-1)-colourable graph on
+n < n_max vertices with minimum degree at least k - 1 - (n_max - n), which
+X - m is when X is extended (heredity; deleting m costs a degree at most one)
+and when X is k-critical (criticality; X has minimum degree k - 1 or more).
+Emitted children that are not critical may be missed; no member is.  The
+duplicates left, from ties and from distinct parents, meet in the per-level
+dictionary keyed by canonical form.
 
-Forbidden families are hereditary, so a child that contains a family graph
-is dropped for good, and every parent is family-free.  A child made by
-adding v to a parent therefore contains a family graph F only through a copy
-that uses v: a copy of F - p inside the parent, on some vertex set S, with
-N(v) & S equal to the image of p's neighbours (the trace).  So each parent
-lists, once, every induced copy of every F - p (one p per orbit of Aut(F))
-as an (S, trace) pair and marks, in a table of one byte per neighbourhood
-mask, every nb with nb & S equal to the trace.  When F - p is empty, S and
-the trace are both 0 and every mask is marked.  Containing a family graph is
-isomorphism-invariant, so the table is a union of orbits of the parent's
-automorphisms; the orbit walk starts from it as its set of masks already
-seen, and a forbidden orbit is neither yielded nor walked.
+A per-parent classifier sorts each child by its neighbourhood mask alone,
+before the child is built: extended (a parent of the next level), emitted
+(a candidate answer) or dropped.  Plain enumeration extends everything.
+Critical enumeration drops a child on n vertices below minimum degree
+k - 1 - (n_max - n), extends the (k-1)-colourable ones below n_max and
+emits the others that pass the cheap criticality screens (connected,
+minimum degree k - 1, no nonadjacent pair with nested neighbourhoods).  A
+child is (k-1)-colourable exactly when its new vertex misses one of the
+parent's extendable classes, the inclusion-minimal independent sets S with
+chi(P - S) <= k - 2 (Goedgebeur and Schaudt, "Exhaustive generation of
+k-critical H-free graphs", 2018), so no child is coloured.
 
-A per-parent classifier then sorts every surviving child by its mask alone,
-before the child is built: extended (it becomes a parent of the next
-level), emitted (it goes forward as a candidate answer) or dropped.
-Extended and emitted children are deduplicated by canonical form per level.
-The filter and every classifier test are isomorphism-invariant, so the orbit
-pruning changes no output.  Plain enumeration extends everything; critical
-enumeration extends the (k-1)-colourable children and emits the ones that
-pass the cheap criticality screens.  No child is coloured.  Each parent
-(every one is (k-1)-colourable) lists once its extendable classes: the
-inclusion-minimal independent sets S with chi(P - S) <= k - 2.  A child is
-(k-1)-colourable exactly when its new vertex misses one of them, which is
-the extension test of exhaustive k-critical generation (Goedgebeur and
-Schaudt, "Exhaustive generation of k-critical H-free graphs", 2018).  The
-screens (connected, minimum degree k - 1, no nonadjacent pair with nested
-neighbourhoods) are decided on the mask as well.
+Family graphs are forbidden as induced subgraphs, so every parent is
+family-free and a child contains a family graph F only through a copy that
+uses the new vertex v: a copy of F - p inside the parent, on some vertex set
+S, with N(v) & S equal to the image of p's neighbours (the trace).  At its
+first child that the classifier keeps, a parent lists every induced copy of
+every F - p (one p per orbit of Aut(F)) and marks, in a table of one byte
+per neighbourhood mask, every nb with nb & S equal to the trace (every nb
+when F - p is empty).  A parent whose children the classifier all drops
+lists no copies.  Both tests are isomorphism-invariant and commute: neither
+their order nor the orbit pruning changes an output.
 """
 
 from __future__ import annotations
@@ -107,14 +96,11 @@ def canonical_form(g: Graph) -> str:
     return _encode_graph6(g.n, _canonical_labeling(g)[0])
 
 
-def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0, seen: Optional[bytearray] = None) -> Iterator[int]:
+def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[int]:
     """The least mask of each orbit of the group the vertex maps ``gens``
     generate, acting on the subsets of n vertices, ascending, over the masks
     of at least ``floor`` vertices.  A vertex map keeps the size of a
-    mask, so those orbits are whole and the smaller masks are never mapped.
-    ``seen``, a byte per mask, marks masks to pass over; it must be a union
-    of orbits, so that an orbit is skipped whole or walked from its least
-    mask.  It is written to as orbits are walked."""
+    mask, so those orbits are whole and the smaller masks are never mapped."""
     tables = []  # per generator: images of the low byte and of the bits above it
     for p in gens:
         low, high = [0] * (1 << min(n, 8)), [0] * (1 << max(n - 8, 0))
@@ -123,8 +109,7 @@ def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0, seen: Optiona
                 top = b.bit_length() - 1
                 table[b] = table[b ^ 1 << top] | 1 << p[base + top]
         tables.append((low, high))
-    if seen is None:
-        seen = bytearray(1 << n)
+    seen = bytearray(1 << n)
     for rep in range(1 << n):
         if seen[rep] or rep.bit_count() < floor:
             continue
@@ -207,14 +192,14 @@ def _walk(
     n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
-    ``classify(parent)``; each family-free child on n vertices, given by the
-    new vertex's neighbourhood mask nb, is classified by ``classifier(n,
-    nb)`` as _EXTEND, _EMIT or None (dropped) before it is built, and a kept
-    child is built only when its new vertex maximises the invariant of the
-    canonical-deletion rule.  Yields, per order n, one canonical
-    representative per class of extended children, which are also the next
-    level's parents, and one per class of emitted children, keyed by
-    canonical form in sorted order."""
+    ``classify(parent)``; each child on n vertices, given by the new
+    vertex's neighbourhood mask nb, is classified by ``classifier(n, nb)``
+    as _EXTEND, _EMIT or None (dropped) before it is built, then dropped if
+    the parent's trace table (built at its first kept child) marks nb, and
+    built only when its new vertex maximises the canonical-deletion
+    invariant.  Yields, per order n, one canonical representative per class
+    of extended children, which are also the next level's parents, and one
+    per class of emitted children, keyed by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
@@ -230,7 +215,8 @@ def _walk(
                 deg = row.bit_count()
                 by_degree[deg] = by_degree.get(deg, 0) | 1 << u
             top = max(by_degree, default=0)
-            for nb in _orbit_reps(parent.n, gens, top, _forbidden_traces(parent, trace_patterns)):
+            forbidden: Optional[bytearray] = None
+            for nb in _orbit_reps(parent.n, gens, top):
                 # the new vertex has degree d >= top; a parent vertex of degree
                 # d inside nb outgrows it, and those that reach d tie with it
                 d = nb.bit_count()
@@ -238,6 +224,10 @@ def _walk(
                     continue
                 kind = classify_child(n, nb)
                 if kind is None:
+                    continue
+                if forbidden is None:
+                    forbidden = _forbidden_traces(parent, trace_patterns)
+                if forbidden[nb]:
                     continue
                 ties = by_degree.get(d, 0) | nb & by_degree.get(d - 1, 0)
                 child = _attach(parent, nb)
@@ -357,15 +347,22 @@ def _extendable_classes(parent: Graph, k: int) -> list[int]:
     return classes
 
 
+def _must_see(parent: Graph, need: int) -> int:
+    """The parent vertices a new vertex of ``need`` neighbours must see for
+    the child to have minimum degree at least ``need``: those of degree
+    need - 1, or -1, which no mask holds, when a vertex has even less."""
+    degrees = [row.bit_count() for row in parent.rows]
+    short = mask_of(v for v, d in enumerate(degrees) if d < need)
+    return -1 if any(d < need - 1 for d in degrees) else short
+
+
 def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
     """The cheap screens of criticality for the child with new neighbourhood
     nb, decided on nb: the child must be connected, have minimum degree at
     least k - 1 and have no nonadjacent pair u, w with N(u) ⊆ N(w)."""
     n, rows = parent.n, parent.rows
     full = (1 << n) - 1
-    if any(row.bit_count() < k - 2 for row in rows):
-        return lambda nb: False
-    short = mask_of(v for v in range(n) if rows[v].bit_count() == k - 2)  # need the new vertex
+    short = _must_see(parent, k - 1)
     components = {_component(parent, v) for v in range(n)}  # nb must meet each
     # nested parent pairs stay nested unless the new vertex sees u and not w
     nested = [(1 << u, 1 << w) for u in range(n) for w in range(n)
@@ -373,8 +370,7 @@ def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
 
     def passes(nb: int) -> bool:
         return (
-            nb.bit_count() >= k - 1
-            and not short & ~nb
+            nb.bit_count() >= k - 1 and not short & ~nb
             and all(nb & comp for comp in components)
             and all(nb & u and not nb & w for u, w in nested)
             and not any(not nb & ~rows[w] or not rows[w] & ~nb for w in iter_bits(full & ~nb))
@@ -385,16 +381,21 @@ def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
 
 def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
     """The child classifier of critical enumeration for one parent, on the
-    new vertex's neighbourhood mask alone: extend the (k-1)-colourable
-    children below n_max, which the parent's extendable classes decide, and
-    emit the others that pass the cheap criticality screens.  Parents are
+    new vertex's neighbourhood mask alone: drop a child on n vertices below
+    minimum degree k - 1 - (n_max - n), extend the (k-1)-colourable ones
+    below n_max, which the parent's extendable classes decide, and emit the
+    others that pass the cheap criticality screens.  Parents are
     (k-1)-colourable (nothing else is extended), so a child that is not has
     chromatic number exactly k."""
+    need = k + parent.n - n_max  # for the child order n = parent.n + 1
+    short = _must_see(parent, need)
     classes = _extendable_classes(parent, k)
     screen: Optional[Callable[[int], bool]] = None  # made at the first k-chromatic child
 
     def classify_child(n: int, nb: int) -> Optional[str]:
         nonlocal screen
+        if nb.bit_count() < need or short & ~nb:
+            return None  # emission asks for k - 1 >= need as well
         if any(not nb & s for s in classes):
             return _EXTEND if n < n_max else None
         if screen is None:
@@ -409,13 +410,13 @@ def enumerate_critical(
 ) -> CriticalDb:
     """All k-vertex-critical graphs avoiding the family, up to n_max vertices.
 
-    The enumeration tree is pruned hard: only (k-1)-colourable graphs are
-    extended, because a graph whose chromatic number has already reached k
-    cannot sit properly inside a larger critical graph (deleting any vertex
-    outside it would not lower the chromatic number below k).  Each child
-    that jumps to chromatic number k is screened with the cheap necessary
-    conditions (connected, minimum degree at least k-1, no nonadjacent pair
-    with nested neighbourhoods); the full per-vertex check then runs once per
+    Only (k-1)-colourable graphs are extended: a graph that needs k colours
+    sits properly inside no k-critical graph.  A graph on n vertices is kept
+    only with minimum degree at least k - 1 - (n_max - n), as is every graph
+    at most n_max - n vertex deletions below a k-critical one.  A child that
+    needs k colours is screened by the cheap necessary conditions
+    (connected, minimum degree k - 1, no nonadjacent pair with nested
+    neighbourhoods); the full per-vertex check then runs once per
     isomorphism class of the children that pass.
     """
     if k < 1:

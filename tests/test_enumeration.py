@@ -17,6 +17,7 @@ from critcolor.enumeration import (
     _extend_all,
     _extendable_classes,
     _forbidden_traces,
+    _must_see,
     _orbit_reps,
     _trace_patterns,
     _walk,
@@ -272,20 +273,6 @@ def test_orbit_reps_above_a_floor_are_the_large_reps(floor):
     assert list(_orbit_reps(5, [rotation, reflection], floor)) == [r for r in reps if r.bit_count() >= floor]
 
 
-@pytest.mark.parametrize("floor", [0, 2])
-def test_orbit_reps_from_a_seeded_table_skip_exactly_the_marked_orbits(floor):
-    rng = random.Random(5)
-    for n, gens in [(5, [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]), (6, [rng.sample(range(6), 6), rng.sample(range(6), 6)])]:
-        group = group_closure(n, gens)
-        reps = list(_orbit_reps(n, gens, floor))
-        marked = set(rng.sample(reps, len(reps) // 3))
-        seen = bytearray(1 << n)
-        for rep in marked:
-            for p in group:
-                seen[apply_map(p, rep)] = 1
-        assert list(_orbit_reps(n, gens, floor, seen)) == [r for r in reps if r not in marked]
-
-
 def test_orbit_reps_map_masks_past_the_low_byte():
     # the dihedral group of an 11-cycle; Burnside: (2048 + 10*2 + 11*64) / 22
     rotation = list(range(1, 11)) + [0]
@@ -420,7 +407,8 @@ def test_extendable_classes_decide_child_colourability(k):
     kinds = set()
     for parent in colourable_parents(k, 60, seed=k):
         classes = _extendable_classes(parent, k)
-        classify_child = _critical_classifier(parent, k, parent.n + 2)
+        # with n_max this far above the child, the minimum-degree rule asks for nothing
+        classify_child = _critical_classifier(parent, k, parent.n + k + 1)
         for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
             colourable = chroma.is_k_colorable(_attach(parent, nb), k - 1) is not None
             assert any(not nb & s for s in classes) == colourable, (to_graph6(parent), nb, k)
@@ -470,15 +458,86 @@ def test_a_colourable_child_is_dropped_at_the_last_order():
     assert classify_last(4, 7) == _EMIT  # K4
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_the_degree_rule_on_the_mask_is_the_childs_minimum_degree(k):
+    # every need the classifier can ask at this k, from 0 up to k - 1 at n_max
+    rng = random.Random(300 + k)
+    outcomes = set()
+    for parent in colourable_parents(k, 40, seed=300 + k):
+        n = parent.n + 1
+        unruled = _critical_classifier(parent, k, n + k)  # need -1
+        for n_max in range(n, n + k):
+            need = k - 1 - (n_max - n)
+            short = _must_see(parent, need)
+            classify_child = _critical_classifier(parent, k, n_max)
+            for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
+                child = _attach(parent, nb)
+                enough = min(row.bit_count() for row in child.rows) >= need
+                assert (nb.bit_count() >= need and not short & ~nb) == enough, (to_graph6(parent), nb, need)
+                # the rule drops the child or leaves its class as it was
+                want = unruled(n, nb) if enough else None
+                assert classify_child(n, nb) == (None if want == _EXTEND and n == n_max else want)
+                outcomes.add((enough, short < 0))
+    # below k = 3 no need is above 1, so no parent vertex falls short by two
+    assert outcomes == {(True, False), (False, False)} | ({(False, True)} if k > 2 else set())
+
+
+def classifier_without_degree_rule(parent, k, n_max):
+    """The critical classifier as it was before the minimum-degree rule."""
+    classes = _extendable_classes(parent, k)
+    screen = None
+
+    def classify_child(n, nb):
+        nonlocal screen
+        if any(not nb & s for s in classes):
+            return _EXTEND if n < n_max else None
+        if screen is None:
+            screen = _emission_screen(parent, k)
+        return _EMIT if screen(nb) else None
+
+    return classify_child
+
+
+DEGREE_RULE_CASES = [(k, 7, family) for family in FAMILIES for k in (3, 4, 5)] + [
+    (4, 8, ["P4+P1"]), (4, 8, ["P5"]), (4, 8, []),
+]
+
+
+@pytest.mark.parametrize(
+    "k, n_max, family", DEGREE_RULE_CASES,
+    ids=[f"k{k}-n{n_max}-{','.join(family) or 'none'}" for k, n_max, family in DEGREE_RULE_CASES],
+)
+def test_the_degree_rule_keeps_every_member(k, n_max, family):
+    specs = tuple(parse_pattern(t) for t in family)
+    want = {}
+    for _, _, emitted in _walk(n_max, specs, lambda parent: classifier_without_degree_rule(parent, k, n_max)):
+        want.update((canon, g) for canon, g in emitted.items() if criticality_report(g, k).verdict)
+    assert list(enumerate_critical(k, n_max, specs).members) == list(want)
+
+
+def test_trace_tables_are_built_only_for_parents_that_keep_a_child(monkeypatch):
+    import critcolor.enumeration as enumeration
+
+    listed = []
+    real = enumeration._forbidden_traces
+    monkeypatch.setattr(enumeration, "_forbidden_traces", lambda parent, tp: listed.append(parent) or real(parent, tp))
+    db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
+    assert len(db.members) == 9
+    # 181 of the 339 parents; building a table for every parent makes 522
+    assert len(listed) <= 181 and len(set(listed)) == len(listed)
+
+
 # ---------------------------------------------------------------------------
 # the canonical-deletion rule of the level walk
 # ---------------------------------------------------------------------------
 
 
 def reference_walk(n_max, family, classify):
-    """The level walk without the canonical-deletion rule and without the
-    seeded orbit walk: every orbit representative is looked up in the trace
-    table, and each one that passes is classified and canonicalised."""
+    """The level walk without the canonical-deletion rule, with a trace
+    table built for every parent: every orbit representative is looked up in
+    the table first, and each one that passes is classified and
+    canonicalised.  ``classify`` is applied as given, so the minimum-degree
+    rule of the critical classifier is in both walks."""
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
     parents = [Graph(0, ())]
     for n in range(1, n_max + 1):
@@ -537,8 +596,8 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
     calls.clear()
     db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
     assert len(db.members) == 9
-    # 711 classified children and the family graph P4+P1
-    assert len(calls) == 712
+    # 525 classified children and the family graph P4+P1
+    assert len(calls) == 526
 
 
 def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
@@ -563,17 +622,17 @@ def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
 def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch, n_max, family, classify):
     import critcolor.enumeration as enumeration
 
-    # _forbidden_traces runs once per parent, just before its orbit reps
+    # the walk asks for each parent's classifier just before its orbit reps
     parent_of = []
-    real_traces, real_reps = enumeration._forbidden_traces, enumeration._orbit_reps
+    real_reps = enumeration._orbit_reps
 
-    def traces(parent, trace_patterns):
+    def recording_classify(parent):
         parent_of.append(parent)
-        return real_traces(parent, trace_patterns)
+        return classify(parent)
 
     checked = []
 
-    def orbit_reps(n, gens, floor=0, seen=None):
+    def orbit_reps(n, gens, floor=0):
         parent = parent_of[-1]
         assert parent.n == n and canonical_form(parent) == to_graph6(parent)
         for p in gens:
@@ -581,14 +640,13 @@ def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch
             for u in range(n):
                 assert sum(1 << p[w] for w in range(n) if parent.rows[u] >> w & 1) == parent.rows[p[u]]
         checked.append((parent, len(gens)))
-        return real_reps(n, gens, floor, seen)
+        return real_reps(n, gens, floor)
 
-    monkeypatch.setattr(enumeration, "_forbidden_traces", traces)
     monkeypatch.setattr(enumeration, "_orbit_reps", orbit_reps)
-    levels = list(_walk(n_max, family, classify))
+    levels = list(_walk(n_max, family, recording_classify))
     parents = [Graph(0, ())] + [g for _, level, _ in levels[:-1] for g in level]
     assert [g for g, _ in checked] == parents
-    assert len(checked) == {7: 209, 8: 522}[n_max]
+    assert len(checked) == {7: 209, 8: 339}[n_max]
     # the maps are not all trivial: the pruning has groups to work with
     assert sum(count for _, count in checked) > len(checked)
 

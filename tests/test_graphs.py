@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from critcolor.graphs import (
     DEFAULT_VERTEX_CAP,
+    Graph,
     Graph6Error,
     _adjacency_bits,
     _encode_graph6,
@@ -297,6 +298,20 @@ def test_graph_is_hashable_and_immutable():
     assert d[parse_graph6("Ch")] == "path"
     with pytest.raises(AttributeError):
         P4.n = 5
+
+
+def test_equal_graphs_hash_equal_and_pickle_without_their_hash():
+    import copy
+    import pickle
+
+    for g in (P4, complete_graph(5), empty_graph(0), random_graph(9, 0.5, seed=3)):
+        fresh = Graph(g.n, tuple(g.rows))
+        assert fresh == g and fresh is not g
+        assert hash(g) == hash(fresh) == hash(g) == hash((g.n, g.rows))
+        data = pickle.dumps(g)
+        assert b"_hash" not in data  # a hash is only good in its own process
+        for back in (pickle.loads(data), copy.copy(g), copy.deepcopy(g)):
+            assert back == g and hash(back) == hash(g) and {back: 1}[g] == 1
 
 
 def test_random_graph_helper_is_deterministic():

@@ -13,6 +13,14 @@ refinement scans cells in order and restarts after the first splitter that
 splits anything.  That order is frozen: a splitter queue or any other order
 would pick different canonical labellings, and saved critdb files are
 verified by comparing their members with ``canonical_form``.
+
+Twins (vertices whose rows agree outside the pair) seed the search, as in
+McKay and Piperno, "Practical graph isomorphism, II" (2014): their swaps
+start the automorphisms the orbit pruning uses, and a target cell of twins
+is split into singletons in list order without search.  The label is the
+first leaf of least bit-string in the unpruned search; pruning only skips
+subtrees that an automorphism maps onto earlier ones, and that split is
+the one path it keeps through a twin cell, so neither changes the result.
 """
 
 from __future__ import annotations
@@ -291,7 +299,10 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     subgroup of Aut(g), usually all of it.  The walk's orbit pruning and
     canonical-deletion rule and the lex-leader constraints of first-copy
     pattern searches use only these maps, so all three stay exact when they
-    generate less than Aut(g)."""
+    generate less than Aut(g).  They start with one swap per vertex that
+    has a twin below it, with the nearest such twin: swaps with the least
+    twin would all move it, leaving none once it is fixed, and the
+    lex-leader chain of ``plus_isolated(path(4), 3)`` would break."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
@@ -302,11 +313,27 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
 
     best_bits: Optional[int] = None
     best_label: Optional[list[int]] = None
-    gens: list[list[int]] = []  # discovered automorphisms, as orig -> orig maps
+    gens: list[list[int]] = []  # automorphisms, as orig -> orig maps
+    twin = list(range(n))  # the least twin of each vertex
+    last: dict[int, int] = {}  # open or closed row -> the last vertex with it
+    for v, row in enumerate(rows):
+        for key in (row, row | 1 << v):  # false twins share the one, true twins the other
+            if key in last:
+                u = last[key]
+                twin[v] = twin[u]
+                gens.append([v if w == u else u if w == v else w for w in range(n)])
+            last[key] = v
 
     def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
         nonlocal best_bits, best_label
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        while True:
+            target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            if target is None or any(twin[v] != twin[cells[target][0]] for v in cells[target]):
+                break
+            # a cell of twins: every order of it is one orbit, and the
+            # partition stays equitable, so the first order is the only path
+            fixed = fixed + cells[target]
+            cells = cells[:target] + [[v] for v in cells[target]] + cells[target + 1:]
         if target is None:
             label = [c[0] for c in cells]
             bits = _adjacency_bits(rows, label)

@@ -212,11 +212,12 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...], 
 
     The generators that fix a prefix need not generate the whole stabiliser
     of it, so an orbit under H_i can be smaller than the orbit under the
-    stabiliser and a constraint can go missing; none is ever wrong.  That
-    happens on 5 of the 1,252 graphs with at most 7 vertices and on 31 of
-    the 12,346 with 8 (on ``EKYW`` only the last position loses its
-    constraint), and then the search tries some placements that a symmetry
-    makes redundant.
+    stabiliser and a constraint can go missing; none is ever wrong.  Among
+    the generators are swaps of each vertex with its nearest twin below, so
+    each twin class keeps its ascending chain.  A constraint goes missing
+    on none of the 1,252 graphs with at most 7 vertices and on 2 of the
+    12,346 with 8 (``GJemvK`` and ``GKNB[{``, at position 3), and then the
+    search tries some placements that a symmetry makes redundant.
     """
     order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v)))
     rows = pattern.rows

@@ -32,6 +32,7 @@ from critcolor.graphs import (
     Graph,
     _adjacency_bits,
     _canonical_labeling,
+    _orbit,
     _refine,
     complete_graph,
     delete_vertex,
@@ -188,18 +189,85 @@ def reference_canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[in
     return best_bits, best_label, gens
 
 
+def assert_labels_like_the_reference(g: Graph) -> None:
+    """The bit-string and label equal the reference search's.  The maps differ
+    by design (twin swaps seed them and twin cells are split without search),
+    but they are automorphisms and generate the reference's group; above 8
+    vertices, where closing the group is too slow, they give its orbits."""
+    bits, label, gens = _canonical_labeling(g)
+    want_bits, want_label, want_gens = reference_canonical_labeling(g)
+    assert (bits, label) == (want_bits, want_label)
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        for u in range(g.n):
+            assert sum(1 << p[w] for w in range(g.n) if g.rows[u] >> w & 1) == g.rows[p[u]]
+    if g.n <= 8:
+        assert group_closure(g.n, gens) == group_closure(g.n, want_gens)
+    else:
+        assert [_orbit(v, gens) for v in range(g.n)] == [_orbit(v, want_gens) for v in range(g.n)]
+
+
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=10, min_n=1))
 def test_canonical_labeling_equals_the_reference_search(g):
-    assert _canonical_labeling(g) == reference_canonical_labeling(g)
+    assert_labels_like_the_reference(g)
 
 
 def test_canonical_labeling_equals_the_reference_search_on_symmetric_graphs(petersen):
     k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
     cycles = [from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
     edgeless = [empty_graph(n) for n in range(1, 9)]
+    # twin classes, some of them sharing a degree cell with another
+    twinned = [complete_multipartite(*sizes) for sizes in [(2, 2, 2), (1, 2, 3), (1, 1, 3, 3), (4, 5)]]
+    twinned += [realize(parse_pattern(text)) for text in ("P4+3P1", "K3+3P1", "2P3+2P1")]
     for g in [petersen, permuted(petersen, 3), k33, permuted(k33, 5), *cycles, *edgeless]:
-        assert _canonical_labeling(g) == reference_canonical_labeling(g)
+        assert_labels_like_the_reference(g)
+    for g in twinned:
+        assert_labels_like_the_reference(g)
+        assert_labels_like_the_reference(permuted(g, 7))
+
+
+def test_twin_seeding_saves_most_refinements(monkeypatch):
+    import critcolor.graphs as graphs_module
+
+    graphs = list(enumerate_up_to(7))
+    calls = []
+    real = graphs_module._refine
+    monkeypatch.setattr(graphs_module, "_refine", lambda *args: calls.append(1) or real(*args))
+    for g in graphs:
+        _canonical_labeling(g)
+    # 8,144 without the twin swaps and the twin-cell split
+    assert len(calls) == 2295
+
+
+@pytest.mark.parametrize("sizes", [(6,), (1,) * 6, (2, 3), (1, 5), (1, 2, 3), (1, 1, 2, 4)])
+def test_graphs_of_twin_cells_need_no_search(monkeypatch, sizes):
+    # edgeless, complete, K_{a,b} and complete multipartite graphs whose
+    # parts differ in size: each degree cell is a twin class (parts of one
+    # size share a degree cell, which then needs a search)
+    import critcolor.graphs as graphs_module
+
+    g = complete_multipartite(*sizes)
+    calls = []
+    real = graphs_module._refine
+    monkeypatch.setattr(graphs_module, "_refine", lambda *args: calls.append(1) or real(*args))
+    gens = _canonical_labeling(g)[2]
+    assert len(calls) == 1
+
+    def twins(u, v):
+        return g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u)
+
+    # one swap per vertex with a twin below it, and nothing else
+    assert len(gens) == sum(any(twins(u, v) for u in range(v)) for v in range(g.n))
+    for p in gens:
+        u, v = (w for w in range(g.n) if p[w] != w)
+        assert (p[u], p[v]) == (v, u) and twins(u, v)
 
 
 def test_canonical_form_size_limit():

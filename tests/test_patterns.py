@@ -385,7 +385,8 @@ def test_exhaustive_small_hosts_against_brute_force():
      # symmetric: the first copy is searched under lex-leader constraints
      clique(4), star(3), cycle(4), plus_isolated(path(4), 2), parse_pattern("3P1"),
      path(5), cycle(5), BULL, GEM, plus_isolated(path(4), 1)]).map(realize),
-    # EKYW: the labelling's generators miss part of a prefix's stabiliser
+    # EKYW: two pairs of twins; without the twin swaps the labelling's
+    # generators miss part of a prefix's stabiliser
     graphs(max_n=6), st.just(parse_graph6("EKYW"))))
 def test_induced_copies_are_every_induced_embedding(host, pattern):
     copies = _induced_copies(host, pattern)
@@ -530,8 +531,13 @@ def _symmetry_test_patterns():
     return [realize(spec) for spec in specs] + members
 
 
+# the graphs with at most 7 vertices whose prefix stabilisers the
+# labelling's generators cover only thanks to the twin swaps among them
+TWIN_SEEDED = ["EKYW", "F@OqW", "F@QuO", "F@QuW", "FKY^w"]
+
+
 def test_stabiliser_orbits_match_brute_force():
-    for pattern in _symmetry_test_patterns():
+    for pattern in _symmetry_test_patterns() + [parse_graph6(text) for text in TWIN_SEEDED]:
         order, *_, (first, _) = _compile_pattern(pattern)
         orbits = _brute_force_orbits(pattern, order)
         for j, steps in enumerate(first):
@@ -539,6 +545,18 @@ def test_stabiliser_orbits_match_brute_force():
             assert [i for i, kind in steps if kind == _ABOVE] == sources[-1:]
             # the kept constraint implies the others: the sources form a chain
             assert all(orbits[a] >> b & 1 for a, b in zip(sources, sources[1:]))
+
+
+def test_two_graphs_on_eight_vertices_miss_a_constraint():
+    # neither has twins; the stabiliser of positions 0 and 1 maps position
+    # 2 onto 3, but both generators the labelling finds swap 0 and 1
+    for text in ("GJemvK", "GKNB[{"):
+        pattern = parse_graph6(text)
+        order, *_, (first, _) = _compile_pattern(pattern)
+        orbits = _brute_force_orbits(pattern, order)
+        missing = [j for j, steps in enumerate(first)
+                   if [i for i, kind in steps if kind == _ABOVE] != [i for i in range(j) if orbits[i] >> j & 1][-1:]]
+        assert missing == [3]
 
 
 def _above(spec):

@@ -17,7 +17,7 @@ import re
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Union as TUnion
+from typing import Iterable, Iterator, Optional, Union as TUnion
 
 from . import chroma
 from .chroma import Coloring
@@ -69,17 +69,27 @@ def criticality_report(g: Graph, k: int, budget: Optional[int | chroma._Budget] 
     decided by ``_keeps_chi``, often with no search at all.  ``budget``
     caps the search nodes of the whole report (see ``chroma._Budget``).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    counter = chroma._counter(budget)
-    chi, col, clique = chroma._chromatic(g, counter)
-    classes = [mask_of(c) for c in col.classes()]
-    per_vertex = tuple(
-        chi if _keeps_chi(g, v, chi, classes, clique, counter) else chi - 1
-        for v in range(g.n)
-    )
+    chi, keeps = _deletions(g, k, chroma._counter(budget))
+    per_vertex = tuple(chi if kept else chi - 1 for kept in keeps)
     verdict = chi == k and all(c == k - 1 for c in per_vertex)
     return CritReport(k, chi, per_vertex, verdict)
+
+
+def _is_critical(g: Graph, k: int) -> bool:
+    """``criticality_report(g, k).verdict``, stopping at the first vertex
+    whose deletion keeps the chromatic number."""
+    chi, keeps = _deletions(g, k, None)
+    return chi == k and not any(keeps)
+
+
+def _deletions(g: Graph, k: int, counter: Optional[chroma._Budget]) -> tuple[int, Iterator[bool]]:
+    """chi(g) and, lazily in vertex order, whether each vertex deletion
+    keeps it (``_keeps_chi``), from one chromatic-number search."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    chi, col, clique = chroma._chromatic(g, counter)
+    classes = [mask_of(c) for c in col.classes()]
+    return chi, (_keeps_chi(g, v, chi, classes, clique, counter) for v in range(g.n))
 
 
 def _keeps_chi(
@@ -341,14 +351,16 @@ def certify_k_colorable(
 ) -> TUnion[Coloring, CriticalWitness]:
     """Decide k-colourability against a database of (k+1)-critical graphs.
 
-    Either some database member embeds (that subgraph alone already needs
-    k+1 colours) or, with a complete database for the
-    family, none does and a k-colouring must exist.  Both certificates are
-    re-verified before being returned: a member that embeds is used only if
-    it really is not k-colourable.  If the database is incomplete and
-    neither branch fires, a fresh (k+1)-critical subgraph is extracted and
-    returned as the witness.  ``budget`` caps the pattern and colouring
-    search nodes of the whole call (see ``chroma._Budget``).
+    After the family check, one colouring search runs: a k-colourable host
+    contains no subgraph that needs k+1 colours, so its colouring is the
+    answer and no member is searched for.  A host that is not k-colourable
+    contains a (k+1)-critical subgraph, which a database complete for the
+    family holds, so the first member that embeds is the witness.  Both
+    certificates are re-verified before being returned: a member that embeds
+    is used only if it really is not k-colourable.  If the database is
+    incomplete and no member embeds, a fresh (k+1)-critical subgraph is
+    extracted and returned as the witness.  ``budget`` caps the pattern and
+    colouring search nodes of the whole call (see ``chroma._Budget``).
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
@@ -356,14 +368,14 @@ def certify_k_colorable(
     ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
-    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
-        emb = find_induced_subgraph(g, member, counter)
-        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
-            return CriticalWitness(i, text, emb)
     col = chroma.is_k_colorable(g, k, counter)
     if col is not None:
         if not chroma.is_proper_coloring(g, col):  # pragma: no cover
             raise AssertionError("improper colouring from the search")
         return col
+    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
+        emb = find_induced_subgraph(g, member, counter)
+        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
+            return CriticalWitness(i, text, emb)
     sub, kept = _extract_with_kept(g, k + 1, counter)
     return CriticalWitness(None, to_graph6(sub), Embedding(kept))

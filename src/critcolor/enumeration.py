@@ -52,19 +52,21 @@ Family graphs are forbidden as induced subgraphs, so every parent is
 family-free and a child contains a family graph F only through a copy that
 uses the new vertex v: a copy of F - p inside the parent, on some vertex set
 S, with N(v) & S equal to the image of p's neighbours (the trace).  At its
-first child that the classifier keeps, a parent lists every induced copy of
-every F - p (one p per orbit of Aut(F)) and marks, in a table of one byte
-per neighbourhood mask, every nb with nb & S equal to the trace (every nb
-when F - p is empty).  A parent whose children the classifier all drops
-lists no copies.  Both tests are isomorphism-invariant and commute: neither
-their order nor the orbit pruning changes an output.
+first child that the classifier extends, a parent lists every induced copy
+of every F - p (one p per orbit of Aut(F)) and marks, in a table of one
+byte per neighbourhood mask, every nb with nb & S equal to the trace (every
+nb when F - p is empty).  Emitted children skip the table: after a level's
+duplicates meet, each emitted class is tested once with ``is_free``.  So a
+parent that extends no child, every parent at n_max - 1 of a critical walk
+among them, lists no copies.  Every test is isomorphism-invariant and they
+commute: neither their order nor the orbit pruning changes an output.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .critical import CriticalDb, criticality_report
+from .critical import CriticalDb, _is_critical
 from .graphs import (
     Graph,
     Graph6Error,
@@ -189,17 +191,18 @@ _ChildClassifier = Callable[[int, int], Optional[str]]
 
 
 def _walk(
-    n_max: int, family: Iterable[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
+    n_max: int, family: Sequence[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
     ``classify(parent)``; each child on n vertices, given by the new
     vertex's neighbourhood mask nb, is classified by ``classifier(n, nb)``
-    as _EXTEND, _EMIT or None (dropped) before it is built, then dropped if
-    the parent's trace table (built at its first kept child) marks nb, and
-    built only when its new vertex maximises the canonical-deletion
-    invariant.  Yields, per order n, one canonical representative per class
-    of extended children, which are also the next level's parents, and one
-    per class of emitted children, keyed by canonical form in sorted order."""
+    as _EXTEND, _EMIT or None (dropped) before it is built.  An extended
+    child is then dropped if the parent's trace table (built at its first
+    extended child) marks nb.  A child is built only when its new vertex
+    maximises the canonical-deletion invariant.  Yields, per order n, one
+    canonical representative per class of extended children, which are also
+    the next level's parents, and one per family-free class of emitted
+    children, keyed by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
@@ -225,10 +228,11 @@ def _walk(
                 kind = classify_child(n, nb)
                 if kind is None:
                     continue
-                if forbidden is None:
-                    forbidden = _forbidden_traces(parent, trace_patterns)
-                if forbidden[nb]:
-                    continue
+                if kind == _EXTEND:
+                    if forbidden is None:
+                        forbidden = _forbidden_traces(parent, trace_patterns)
+                    if forbidden[nb]:
+                        continue
                 ties = by_degree.get(d, 0) | nb & by_degree.get(d - 1, 0)
                 child = _attach(parent, nb)
                 if ties and _outranked(child, ties):
@@ -243,7 +247,8 @@ def _walk(
         order = sorted(extended)  # at one order the bit-strings sort as the graph6 texts
         parents = [Graph(n, _rows_from_bits(n, bits)) for bits in order]
         parent_gens = [extended[bits] for bits in order]
-        yield n, parents, {_encode_graph6(n, bits): Graph(n, _rows_from_bits(n, bits)) for bits in sorted(emitted)}
+        candidates = ((bits, Graph(n, _rows_from_bits(n, bits))) for bits in sorted(emitted))
+        yield n, parents, {_encode_graph6(n, bits): g for bits, g in candidates if is_free(g, family)[0]}
 
 
 def _always_extend(n: int, nb: int) -> str:
@@ -416,8 +421,9 @@ def enumerate_critical(
     at most n_max - n vertex deletions below a k-critical one.  A child that
     needs k colours is screened by the cheap necessary conditions
     (connected, minimum degree k - 1, no nonadjacent pair with nested
-    neighbourhoods); the full per-vertex check then runs once per
-    isomorphism class of the children that pass.
+    neighbourhoods).  Each isomorphism class of the children that pass is
+    tested once against the family, and then checked for criticality:
+    chi = k, and vertex deletions in order until one keeps chi = k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -425,14 +431,14 @@ def enumerate_critical(
     members: dict[str, Graph] = {}
     for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max)):
         for canon, g in emitted.items():
-            if criticality_report(g, k).verdict:
+            if _is_critical(g, k):
                 members[canon] = g
     return CriticalDb(k, family, tuple(members), tuple(members.values()))
 
 
 def verify_critdb(db: CriticalDb) -> bool:
     """Re-check a database from scratch: members must be canonical, pairwise
-    distinct, family-free and k-vertex-critical."""
+    distinct, family-free and k-vertex-critical (see ``_is_critical``)."""
     if len(set(db.members)) != len(db.members):
         return False
     for text, g in zip(db.members, db.member_graphs):
@@ -440,7 +446,7 @@ def verify_critdb(db: CriticalDb) -> bool:
             return False
         if not is_free(g, db.family)[0]:
             return False
-        if not criticality_report(g, db.k).verdict:
+        if not _is_critical(g, db.k):
             return False
     return True
 

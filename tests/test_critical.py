@@ -11,6 +11,7 @@ from critcolor.chroma import Coloring, _Budget, chromatic_number, is_k_colorable
 from critcolor.enumeration import enumerate_critical, enumerate_graphs, enumerate_up_to
 from critcolor.critical import (
     _extract_with_kept,
+    _is_critical,
     CriticalDb,
     CriticalWitness,
     antichain_check,
@@ -113,6 +114,38 @@ def test_report_runs_one_chromatic_number_search(petersen, monkeypatch):
     rep = criticality_report(petersen, 3)
     assert rep.chi == 3 and rep.per_vertex == (3,) * 10 and not rep.verdict
     assert len(calls) == 1
+
+
+def test_the_verdict_helper_equals_the_report():
+    # every graph with at most 7 vertices, seeded random graphs on 8-10
+    # vertices, and the 4-critical graphs with at most 8 vertices
+    rng = random.Random(19)
+    hosts = list(enumerate_up_to(7)) + list(enumerate_critical(4, 8).member_graphs) + [
+        random_graph(rng.randint(8, 10), rng.choice([0.3, 0.5, 0.7, 0.9]), rng.randrange(2**30)) for _ in range(150)
+    ]
+    verdicts = set()
+    for g in hosts:
+        for k in range(1, 7):
+            verdict = criticality_report(g, k).verdict
+            assert _is_critical(g, k) == verdict, (to_graph6(g), k)
+            verdicts.add((g.n > 7, verdict))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+    with pytest.raises(ValueError):
+        _is_critical(C5, 0)
+
+
+def test_the_verdict_helper_stops_at_the_first_deletion_that_keeps_chi(monkeypatch):
+    import critcolor.critical as critical
+
+    calls = []
+    real = critical._keeps_chi
+    monkeypatch.setattr(critical, "_keeps_chi", lambda g, v, *a: calls.append(v) or real(g, v, *a))
+    g = disjoint_union(complete_graph(1), C5)  # deleting the isolated vertex 0 keeps chi 3
+    assert not _is_critical(g, 3)
+    assert calls == [0]
+    calls.clear()
+    assert criticality_report(g, 3).per_vertex == (3, 2, 2, 2, 2, 2)
+    assert calls == list(range(6))
 
 
 def _extract_by_full_searches(g, k):
@@ -414,13 +447,30 @@ def test_certify_parses_the_database_members_once(monkeypatch):
     parsed = []
     real = critical.parse_graph6
     monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
-    first = certify_k_colorable(C5, 3, db)
+    # W5 needs 4 colours, so the members are searched for (K4 does not embed)
+    first = certify_k_colorable(W5, 3, db)
     assert parsed == list(db.members)
     parsed.clear()
-    assert certify_k_colorable(C5, 3, db) == first
+    assert certify_k_colorable(W5, 3, db) == first
     assert parsed == []
     # the parsed members are no part of the database's value
     assert db == make_db() and hash(db) == hash(make_db())
+
+
+def test_certify_searches_for_no_member_in_a_colourable_host(monkeypatch):
+    import critcolor.critical as critical
+
+    db = load_critdb(str(CRITDB_K4_P4P1))
+    searches = []
+    real = critical.find_induced_subgraph
+    monkeypatch.setattr(critical, "find_induced_subgraph", lambda host, *a: searches.append(host) or real(host, *a))
+    for host in (C5, complete_graph(3), from_edges(4, [(0, 1), (0, 2), (1, 2)])):
+        assert isinstance(certify_k_colorable(host, 3, db), Coloring)
+    assert searches == []
+    # a host that needs 4 colours is searched for members until one embeds
+    out = certify_k_colorable(W5, 3, db)
+    assert isinstance(out, CriticalWitness) and parse_graph6(out.pattern_graph6).n == 6
+    assert searches == [W5] * (out.member_index + 1)
 
 
 def test_a_loaded_database_parses_each_member_once(monkeypatch):

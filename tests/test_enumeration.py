@@ -456,6 +456,22 @@ def test_critical_enumeration_equals_post_filtering(spec_text, four_critical_up_
     assert list(enumerate_critical(4, 7, [spec]).members) == want
 
 
+@pytest.fixture(scope="module")
+def four_critical_up_to_8():
+    return enumerate_critical(4, 8)
+
+
+@pytest.mark.parametrize("spec_text", ["K4", "C5", "P6", "C7", "P4+P1"])
+def test_critical_enumeration_equals_post_filtering_at_order_8(spec_text, four_critical_up_to_8):
+    # every kept child on 8 vertices is emitted, and so is every child with
+    # a copy of K4, which needs 4 colours: such copies are dropped only by
+    # the family test on the emitted classes
+    spec = parse_pattern(spec_text)
+    want = [m for m in four_critical_up_to_8.members if is_free(parse_graph6(m), [spec])[0]]
+    assert len(want) < len(four_critical_up_to_8.members)
+    assert list(enumerate_critical(4, 8, [spec]).members) == want
+
+
 def colourable_parents(k: int, count: int, seed: int):
     """Seeded random (k-1)-colourable graphs on 0..8 vertices, dense enough
     that some of their children need all k colours."""
@@ -583,7 +599,7 @@ def test_the_degree_rule_keeps_every_member(k, n_max, family):
     assert list(enumerate_critical(k, n_max, specs).members) == list(want)
 
 
-def test_trace_tables_are_built_only_for_parents_that_keep_a_child(monkeypatch):
+def test_trace_tables_are_built_only_for_parents_that_extend_a_child(monkeypatch):
     import critcolor.enumeration as enumeration
 
     listed = []
@@ -591,8 +607,11 @@ def test_trace_tables_are_built_only_for_parents_that_keep_a_child(monkeypatch):
     monkeypatch.setattr(enumeration, "_forbidden_traces", lambda parent, tp: listed.append(parent) or real(parent, tp))
     db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
     assert len(db.members) == 9
-    # 181 of the 339 parents; building a table for every parent makes 522
-    assert len(listed) <= 181 and len(set(listed)) == len(listed)
+    # 116 of the 339 parents build a table, none on 7 vertices, whose kept
+    # children are all emitted; a table at every parent that keeps a child
+    # makes 181, and one at every parent 522
+    assert len(listed) == 116 and len(set(listed)) == len(listed)
+    assert max(g.n for g in listed) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +683,9 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
     calls.clear()
     db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
     assert len(db.members) == 9
-    # 525 classified children and the family graph P4+P1
-    assert len(calls) == 526
+    # 526 classified children and the family graph P4+P1; one emitted child
+    # at n = 8 contains P4+P1 and is labelled before its class is dropped
+    assert len(calls) == 527
 
 
 def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
@@ -788,23 +808,42 @@ def test_the_small_critical_lists_are_pinned(n_max, family):
 
 
 @pytest.fixture(scope="module")
-def all_graphs_up_to_7():
-    return list(enumerate_up_to(7))
+def all_graphs_up_to_8():
+    return list(enumerate_up_to(8))
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_critical_enumeration_equals_screening_every_graph(k, all_graphs_up_to_7):
-    # independent of the critical walk: every graph up to 7 vertices, the
-    # necessary conditions, the full check, and the naive chromatic number
+def screened_critical(graphs, k):
+    """Independent of the critical walk: the graphs that pass the necessary
+    conditions and the full check, each confirmed by the naive chromatic
+    number of the graph and of its vertex deletions."""
     kept = [
-        g for g in all_graphs_up_to_7
+        g for g in graphs
         if is_connected(g) and min(g.degree(v) for v in range(g.n)) >= k - 1 and criticality_report(g, k).verdict
     ]
     for g in kept:
         assert naive_chromatic(g) == k
         assert all(naive_chromatic(delete_vertex(g, v)) == k - 1 for v in range(g.n))
-    assert [to_graph6(g) for g in kept] == list(enumerate_critical(k, 7).members)
+    return [to_graph6(g) for g in kept]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_critical_enumeration_equals_screening_every_graph(k, all_graphs_up_to_8):
+    kept = screened_critical([g for g in all_graphs_up_to_8 if g.n <= 7], k)
+    assert kept == list(enumerate_critical(k, 7).members)
     assert len(kept) == {3: 3, 4: 9, 5: 2}[k]
+
+
+def test_the_plain_walk_has_every_graph_on_8_vertices(all_graphs_up_to_8):
+    from oracles import burnside_graph_count
+
+    assert sum(g.n == 8 for g in all_graphs_up_to_8) == burnside_graph_count(8) == 12346
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_critical_enumeration_equals_screening_every_graph_to_order_8(k, all_graphs_up_to_8):
+    kept = screened_critical(all_graphs_up_to_8, k)
+    assert kept == list(enumerate_critical(k, 8).members)
+    assert len(kept) == {3: 3, 4: 17, 5: 9}[k]
 
 
 def test_p1_free_family_has_no_critical_graphs():

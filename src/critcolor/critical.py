@@ -351,16 +351,14 @@ def certify_k_colorable(
 ) -> TUnion[Coloring, CriticalWitness]:
     """Decide k-colourability against a database of (k+1)-critical graphs.
 
-    After the family check, one colouring search runs: a k-colourable host
-    contains no subgraph that needs k+1 colours, so its colouring is the
-    answer and no member is searched for.  A host that is not k-colourable
-    contains a (k+1)-critical subgraph, which a database complete for the
-    family holds, so the first member that embeds is the witness.  Both
-    certificates are re-verified before being returned: a member that embeds
-    is used only if it really is not k-colourable.  If the database is
-    incomplete and no member embeds, a fresh (k+1)-critical subgraph is
-    extracted and returned as the witness.  ``budget`` caps the pattern and
-    colouring search nodes of the whole call (see ``chroma._Budget``).
+    Either some database member embeds (that subgraph alone already needs
+    k+1 colours) or, with a complete database for the
+    family, none does and a k-colouring must exist.  Both certificates are
+    re-verified before being returned: a member that embeds is used only if
+    it really is not k-colourable.  If the database is incomplete and
+    neither branch fires, a fresh (k+1)-critical subgraph is extracted and
+    returned as the witness.  ``budget`` caps the pattern and colouring
+    search nodes of the whole call (see ``chroma._Budget``).
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
@@ -368,14 +366,14 @@ def certify_k_colorable(
     ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
+    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
+        emb = find_induced_subgraph(g, member, counter)
+        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
+            return CriticalWitness(i, text, emb)
     col = chroma.is_k_colorable(g, k, counter)
     if col is not None:
         if not chroma.is_proper_coloring(g, col):  # pragma: no cover
             raise AssertionError("improper colouring from the search")
         return col
-    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
-        emb = find_induced_subgraph(g, member, counter)
-        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
-            return CriticalWitness(i, text, emb)
     sub, kept = _extract_with_kept(g, k + 1, counter)
     return CriticalWitness(None, to_graph6(sub), Embedding(kept))

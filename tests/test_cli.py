@@ -171,7 +171,7 @@ def test_certify_budget_flag_aborts(tmp_path, capsys):
     target = tmp_path / "odd.critdb"
     assert run(["enumerate", "--n", "5", "--critical", "3", "--db", str(target)]) == 0
     capsys.readouterr()
-    for graph in (P4, C5):  # the colouring search runs before any member search
+    for graph in (P4, C5):  # the colouring search, then the member check
         assert run(["certify", "--budget", "1", "--k", "2", "--db", str(target), graph]) == 2
         assert "budget exhausted" in capsys.readouterr().err
     assert run(["certify", "--budget", "100000", "--k", "2", "--db", str(target), C5]) == 1
@@ -182,8 +182,8 @@ def test_certify_budget_caps_the_pattern_searches(capsys, monkeypatch):
 
     from critcolor import chroma, critical
 
-    # K12,12,12 is P4-free: the family check would run to the end before the
-    # colouring search spent its first node, and no member is searched for
+    # K12,12,12 is P4-free: the family check and every member search would
+    # run to the end before the colouring search spent its first node
     k12_12_12 = to_graph6(from_edges(36, [(u, v) for v in range(36) for u in range(v) if u // 12 != v // 12]))
     db = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
     spent, searches = [], []

@@ -447,30 +447,26 @@ def test_certify_parses_the_database_members_once(monkeypatch):
     parsed = []
     real = critical.parse_graph6
     monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
-    # W5 needs 4 colours, so the members are searched for (K4 does not embed)
-    first = certify_k_colorable(W5, 3, db)
+    first = certify_k_colorable(C5, 3, db)
     assert parsed == list(db.members)
     parsed.clear()
-    assert certify_k_colorable(W5, 3, db) == first
+    assert certify_k_colorable(C5, 3, db) == first
     assert parsed == []
     # the parsed members are no part of the database's value
     assert db == make_db() and hash(db) == hash(make_db())
 
 
-def test_certify_searches_for_no_member_in_a_colourable_host(monkeypatch):
-    import critcolor.critical as critical
-
+def test_certify_finds_a_member_before_any_colouring_search():
+    # K4 + 4 K4,4 is P4-free and not 3-colourable; a colouring search would
+    # colour the K4,4 copies first and backtrack through all their colourings
+    # before failing at K4, while the member search finds K4 at once
     db = load_critdb(str(CRITDB_K4_P4P1))
-    searches = []
-    real = critical.find_induced_subgraph
-    monkeypatch.setattr(critical, "find_induced_subgraph", lambda host, *a: searches.append(host) or real(host, *a))
-    for host in (C5, complete_graph(3), from_edges(4, [(0, 1), (0, 2), (1, 2)])):
-        assert isinstance(certify_k_colorable(host, 3, db), Coloring)
-    assert searches == []
-    # a host that needs 4 colours is searched for members until one embeds
-    out = certify_k_colorable(W5, 3, db)
-    assert isinstance(out, CriticalWitness) and parse_graph6(out.pattern_graph6).n == 6
-    assert searches == [W5] * (out.member_index + 1)
+    k44 = from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    g = complete_graph(4)
+    for _ in range(4):
+        g = disjoint_union(k44, g)
+    out = certify_k_colorable(g, 3, db, 1000)
+    assert (out.member_index, out.pattern_graph6, out.embedding.mapping) == (0, "C~", (32, 33, 34, 35))
 
 
 def test_a_loaded_database_parses_each_member_once(monkeypatch):

@@ -49,7 +49,7 @@ from conftest import graphs, random_graph
 from oracles import brute_canonical_key, naive_chromatic, naive_is_isomorphic
 
 # unlabeled simple graphs by order, then the connected ones
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
@@ -362,13 +362,14 @@ def test_counts_match_labeled_dedup_oracle():
         assert len(list(enumerate_graphs(n))) == brute_count(n)
 
 
-def test_counts_match_burnside_oracle():
+def test_counts_match_burnside_oracle(all_graphs_up_to_8):
     from oracles import burnside_graph_count
 
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert burnside_graph_count(n) == ALL_COUNTS[n]
     for n in range(1, 8):
         assert len(list(enumerate_graphs(n))) == ALL_COUNTS[n]
+    assert sum(g.n == 8 for g in all_graphs_up_to_8) == ALL_COUNTS[8]
 
 
 def test_connected_counts():
@@ -831,12 +832,6 @@ def test_critical_enumeration_equals_screening_every_graph(k, all_graphs_up_to_8
     kept = screened_critical([g for g in all_graphs_up_to_8 if g.n <= 7], k)
     assert kept == list(enumerate_critical(k, 7).members)
     assert len(kept) == {3: 3, 4: 9, 5: 2}[k]
-
-
-def test_the_plain_walk_has_every_graph_on_8_vertices(all_graphs_up_to_8):
-    from oracles import burnside_graph_count
-
-    assert sum(g.n == 8 for g in all_graphs_up_to_8) == burnside_graph_count(8) == 12346
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -33,11 +33,15 @@ class Coloring:
 
 
 def is_proper_coloring(g: Graph, col: Coloring) -> bool:
+    """A colour in 1..palette_size per vertex; no row meets its own class."""
     if len(col.assignment) != g.n:
         return False
-    if any(not 1 <= c <= col.palette_size for c in col.assignment):
-        return False
-    return all(col.assignment[u] != col.assignment[v] for u, v in g.edges())
+    classes: dict[int, int] = {}
+    for v, c in enumerate(col.assignment):
+        if not 1 <= c <= col.palette_size:
+            return False
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.rows, col.assignment))
 
 
 class _Budget:
@@ -106,9 +110,21 @@ def _max_clique(g: Graph, counter: Optional[_Budget]) -> int:
     return best_set
 
 
+def _clique(g: Graph, counter: Optional[_Budget]) -> int:
+    """``_max_clique``, kept on the graph's instance dict at the first
+    uncapped call, as ``Graph.__hash__`` keeps the hash.  A capped call
+    never reads or writes the kept mask, so it spends what it always did."""
+    if counter is not None:
+        return _max_clique(g, counter)
+    kept = g.__dict__.get("_clique")
+    if kept is None:
+        kept = g.__dict__["_clique"] = _max_clique(g, None)
+    return kept
+
+
 def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
     """Largest clique size.  ``budget`` caps the search (see ``_Budget``)."""
-    return _max_clique(g, _counter(budget)).bit_count()
+    return _clique(g, _counter(budget)).bit_count()
 
 
 def independence_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
@@ -193,6 +209,15 @@ def is_k_colorable(
     return Coloring(used, tuple(colour_of))
 
 
+def _greedy(g: Graph) -> Coloring:
+    """The DSATUR greedy colouring, ``is_k_colorable(g, g.n)``, which spends
+    no budget; kept on the graph's instance dict at first use."""
+    kept = g.__dict__.get("_greedy")
+    if kept is None:
+        kept = g.__dict__["_greedy"] = is_k_colorable(g, g.n)
+    return kept
+
+
 def chromatic_number(
     g: Graph, budget: Optional[int | _Budget] = None
 ) -> tuple[int, Coloring]:
@@ -212,9 +237,9 @@ def _chromatic(
     """``chromatic_number``'s answer and the maximum clique, as a vertex
     mask, whose size is its lower bound."""
     counter = _counter(budget)
-    clique = _max_clique(g, counter)
+    clique = _clique(g, counter)
     lower = clique.bit_count()
-    greedy = is_k_colorable(g, g.n)
+    greedy = _greedy(g)
     if greedy.palette_size == lower:
         return lower, greedy, clique
     for k in range(lower, greedy.palette_size):

@@ -119,7 +119,7 @@ def _keeps_chi(
     rest = delete_vertex(g, v)
     if big_clique and chroma.clique_number(rest, counter) == chi:
         return True
-    if chroma.is_k_colorable(rest, rest.n).palette_size < chi:
+    if chroma._greedy(rest).palette_size < chi:
         return False
     return chroma.is_k_colorable(rest, chi - 1, counter) is None
 
@@ -351,14 +351,18 @@ def certify_k_colorable(
 ) -> TUnion[Coloring, CriticalWitness]:
     """Decide k-colourability against a database of (k+1)-critical graphs.
 
-    Either some database member embeds (that subgraph alone already needs
-    k+1 colours) or, with a complete database for the
-    family, none does and a k-colouring must exist.  Both certificates are
-    re-verified before being returned: a member that embeds is used only if
-    it really is not k-colourable.  If the database is incomplete and
-    neither branch fires, a fresh (k+1)-critical subgraph is extracted and
-    returned as the witness.  ``budget`` caps the pattern and colouring
-    search nodes of the whole call (see ``chroma._Budget``).
+    After the family check, a DSATUR greedy colouring with at most k
+    colours is returned at once, with no search: every induced subgraph is
+    then k-colourable, so no member could be a witness, and the colouring
+    search would find this same colouring first.  Otherwise either some
+    database member embeds (that subgraph alone already needs k+1 colours)
+    or, with a complete database for the family, none does and a
+    k-colouring must exist.  Both certificates are re-verified before being
+    returned: a member that embeds is used only if it really is not
+    k-colourable.  If the database is incomplete and neither branch fires,
+    a fresh (k+1)-critical subgraph is extracted and returned as the
+    witness.  ``budget`` caps the pattern and colouring search nodes of the
+    whole call (see ``chroma._Budget``); the greedy spends none.
     """
     if db.k != k + 1:
         raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
@@ -366,11 +370,13 @@ def certify_k_colorable(
     ok, hit = is_free(g, db.family, counter)
     if not ok:
         raise PatternViolation(hit[0], hit[1])
-    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
-        emb = find_induced_subgraph(g, member, counter)
-        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
-            return CriticalWitness(i, text, emb)
-    col = chroma.is_k_colorable(g, k, counter)
+    col = chroma._greedy(g)
+    if col.palette_size > k:  # else every induced subgraph is k-colourable too
+        for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
+            emb = find_induced_subgraph(g, member, counter)
+            if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
+                return CriticalWitness(i, text, emb)
+        col = chroma.is_k_colorable(g, k, counter)
     if col is not None:
         if not chroma.is_proper_coloring(g, col):  # pragma: no cover
             raise AssertionError("improper colouring from the search")

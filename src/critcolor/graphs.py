@@ -70,7 +70,7 @@ class Graph:
         except KeyError:
             return self.__dict__.setdefault("_hash", hash((self.n, self.rows)))
 
-    def __reduce__(self):  # the fields only, never the cached hash
+    def __reduce__(self):  # the fields only, never the hash or what chroma keeps
         return Graph, (self.n, self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,7 +16,7 @@ from itertools import groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _counter
-from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, iter_bits, mask_of
+from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
 
 
 def _broom(n: int, m: int) -> tuple[int, list[tuple[int, int]]]:
@@ -179,10 +179,15 @@ def embedding_is_induced(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     if any(not 0 <= h < host.n for h in m):
         return False
     image = mask_of(m)
-    return all(
-        host.rows[m[v]] & image == mask_of(m[u] for u in iter_bits(pattern.rows[v]))
-        for v in range(pattern.n)
-    )
+    for v, row in enumerate(pattern.rows):
+        mapped = 0  # the images of v's neighbours; the bit loop is inlined
+        while row:
+            low = row & -row
+            row ^= low
+            mapped |= 1 << m[low.bit_length() - 1]
+        if host.rows[m[v]] & image != mapped:
+            return False
+    return True
 
 
 # The image of a pattern vertex is a non-neighbour, a neighbour, or (in

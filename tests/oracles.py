@@ -42,6 +42,20 @@ def naive_chromatic(g: Graph) -> int:
     return k
 
 
+def naive_is_proper_coloring(g: Graph, palette_size: int, assignment: tuple[int, ...]) -> bool:
+    """One colour in 1..palette_size per vertex, and every pair of adjacent
+    vertices coloured apart."""
+    return (
+        len(assignment) == g.n
+        and all(1 <= c <= palette_size for c in assignment)
+        and all(
+            assignment[u] != assignment[v]
+            for u, v in combinations(range(g.n), 2)
+            if g.has_edge(u, v)
+        )
+    )
+
+
 def naive_clique_number(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):

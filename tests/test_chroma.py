@@ -3,6 +3,7 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critcolor.chroma import (
     BudgetExhausted,
@@ -31,6 +32,7 @@ from oracles import (
     naive_clique_number,
     naive_independence_number,
     naive_is_k_colorable,
+    naive_is_proper_coloring,
 )
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -320,3 +322,46 @@ def test_is_proper_coloring_rejects():
     assert not is_proper_coloring(g, Coloring(2, (1, 3)))
     assert not is_proper_coloring(g, Coloring(2, (0, 1)))
     assert is_proper_coloring(g, Coloring(2, (2, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_is_proper_coloring_matches_the_pairwise_check(g, data):
+    # short, long and in-range assignments, colours from 0 to one past the palette
+    palette = data.draw(st.integers(min_value=0, max_value=4))
+    length = data.draw(st.sampled_from([g.n, g.n, g.n, max(g.n - 1, 0), g.n + 1]))
+    assignment = tuple(data.draw(st.lists(
+        st.integers(min_value=0, max_value=palette + 1), min_size=length, max_size=length)))
+    col = Coloring(palette, assignment)
+    assert is_proper_coloring(g, col) == naive_is_proper_coloring(g, palette, assignment)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=11))
+def test_a_greedy_that_fits_is_what_the_decision_search_returns(g):
+    # the search's first descent makes the greedy's choices and never needs
+    # a colour above k, so it never backtracks
+    greedy = is_k_colorable(g, g.n)
+    for k in range(greedy.palette_size, g.n + 1):
+        assert is_k_colorable(g, k) == greedy
+
+
+def test_a_kept_clique_never_answers_a_capped_call():
+    g = Graph(GROTZSCH.n, GROTZSCH.rows)
+    assert clique_number(g) == 2 and "_clique" in g.__dict__
+    with pytest.raises(BudgetExhausted):
+        clique_number(g, 1)
+    assert nodes_spent(lambda b: clique_number(g, b)) > 1
+
+
+@pytest.mark.parametrize("g", [C5, GROTZSCH, random_graph(10, 0.5, seed=4)])
+def test_kept_values_leave_every_capped_count_as_it_is(g):
+    fresh = lambda: Graph(g.n, g.rows)  # noqa: E731
+    before = nodes_spent(lambda b: chromatic_number(fresh(), b))
+    kept = fresh()
+    answer = chromatic_number(kept)
+    assert {"_clique", "_greedy"} <= kept.__dict__.keys()
+    assert nodes_spent(lambda b: chromatic_number(kept, b)) == before > 0
+    assert chromatic_number(kept, before) == answer == chromatic_number(fresh())
+    with pytest.raises(BudgetExhausted):
+        chromatic_number(kept, before - 1)

@@ -13,6 +13,7 @@ from critcolor.graphs import complete_graph, from_edges, to_graph6
 
 C5 = to_graph6(from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
 P4 = to_graph6(from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+GREEDY_NEEDS_4 = "G?K}fC"  # chromatic number 3; DSATUR uses 4 colours
 K3 = to_graph6(complete_graph(3))
 PAW = to_graph6(from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)]))
 
@@ -169,12 +170,20 @@ def test_critical_budget_flag_aborts(capsys):
 
 def test_certify_budget_flag_aborts(tmp_path, capsys):
     target = tmp_path / "odd.critdb"
+    k4 = tmp_path / "k4.critdb"
     assert run(["enumerate", "--n", "5", "--critical", "3", "--db", str(target)]) == 0
+    assert run(["enumerate", "--n", "5", "--critical", "4", "--db", str(k4)]) == 0
     capsys.readouterr()
-    for graph in (P4, C5):  # the colouring search, then the member check
-        assert run(["certify", "--budget", "1", "--k", "2", "--db", str(target), graph]) == 2
+    # G?K}fC is 3-colourable, but its greedy colouring needs 4 colours; the
+    # K4 search spends 12 nodes and the colouring search 16
+    for graph, k, db, budget in ((GREEDY_NEEDS_4, "3", k4, "20"), (C5, "2", target, "1")):
+        # the colouring search, then the member check
+        assert run(["certify", "--budget", budget, "--k", k, "--db", str(db), graph]) == 2
         assert "budget exhausted" in capsys.readouterr().err
+    assert run(["certify", "--budget", "28", "--k", "3", "--db", str(k4), GREEDY_NEEDS_4]) == 0
     assert run(["certify", "--budget", "100000", "--k", "2", "--db", str(target), C5]) == 1
+    # a greedy 2-colouring of P4 is the certificate: no node is spent
+    assert run(["certify", "--budget", "0", "--k", "2", "--db", str(target), P4]) == 0
 
 
 def test_certify_budget_caps_the_pattern_searches(capsys, monkeypatch):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critcolor import chroma
-from critcolor.chroma import Coloring, _Budget, chromatic_number, is_k_colorable, is_proper_coloring
+from critcolor.chroma import (
+    BudgetExhausted,
+    Coloring,
+    _Budget,
+    chromatic_number,
+    is_k_colorable,
+    is_proper_coloring,
+)
 from critcolor.enumeration import enumerate_critical, enumerate_graphs, enumerate_up_to
 from critcolor.critical import (
     _extract_with_kept,
@@ -39,10 +46,13 @@ from critcolor.graphs import (
     to_graph6,
 )
 from critcolor.patterns import (
+    Embedding,
     PatternViolation,
     broom,
     clique,
     embedding_is_induced,
+    find_induced_subgraph,
+    is_free,
     parse_pattern,
     path,
     union,
@@ -59,6 +69,13 @@ C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 W5 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
+# the 18 graphs on 8 vertices whose DSATUR greedy colouring is not optimal
+# (on at most 7 vertices it always is); G?K}fC is the first
+GREEDY_OVERSHOOTS = (
+    "G?K}fC", "G?LZfC", "G?L^Fc", "G?LufS", "G@L]FC", "G@NE^_", "G@Tc~G", "G@Td]g", "G@U^NO",
+    "G@UnMo", "GBI]^O", "GBIm]o", "GBn^FC", "GGCyv?", "GHUK~g", "GJemvG", "GKEZ^O", "G_L|v_",
+)
+GREEDY_NEEDS_4 = parse_graph6(GREEDY_OVERSHOOTS[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +464,12 @@ def test_certify_parses_the_database_members_once(monkeypatch):
     parsed = []
     real = critical.parse_graph6
     monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
-    first = certify_k_colorable(C5, 3, db)
+    # the greedy 3-colours C5, so certify never reaches the members
+    assert isinstance(certify_k_colorable(C5, 3, db), Coloring) and parsed == []
+    first = certify_k_colorable(W5, 3, db)
     assert parsed == list(db.members)
     parsed.clear()
-    assert certify_k_colorable(C5, 3, db) == first
+    assert certify_k_colorable(W5, 3, db) == first
     assert parsed == []
     # the parsed members are no part of the database's value
     assert db == make_db() and hash(db) == hash(make_db())
@@ -467,6 +486,55 @@ def test_certify_finds_a_member_before_any_colouring_search():
         g = disjoint_union(k44, g)
     out = certify_k_colorable(g, 3, db, 1000)
     assert (out.member_index, out.pattern_graph6, out.embedding.mapping) == (0, "C~", (32, 33, 34, 35))
+
+
+def reference_certify(g, k, db, budget=None):
+    """``certify_k_colorable`` without the greedy shortcut: every member
+    search, then the colouring search, then the extraction."""
+    if db.k != k + 1:
+        raise ValueError(f"database holds {db.k}-critical graphs; need {k + 1}")
+    counter = chroma._counter(budget)
+    ok, hit = is_free(g, db.family, counter)
+    if not ok:
+        raise PatternViolation(hit[0], hit[1])
+    for i, (text, member) in enumerate(zip(db.members, db.member_graphs)):
+        emb = find_induced_subgraph(g, member, counter)
+        if emb is not None and chroma.is_k_colorable(member, k, counter) is None:
+            return CriticalWitness(i, text, emb)
+    col = chroma.is_k_colorable(g, k, counter)
+    if col is not None:
+        return col
+    sub, kept = _extract_with_kept(g, k + 1, counter)
+    return CriticalWitness(None, to_graph6(sub), Embedding(kept))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_certify_matches_the_reference_certify(k):
+    db = enumerate_critical(k + 1, 7)
+    overshoots = [parse_graph6(text) for text in GREEDY_OVERSHOOTS]
+    assert all(chroma._greedy(g).palette_size > chromatic_number(g)[0] for g in overshoots)
+    rng = random.Random(k)
+    seeded = [random_graph(rng.randint(8, 11), rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
+              for _ in range(60)]
+    shortcut = 0
+    for g in [*enumerate_up_to(7), *overshoots, *seeded]:
+        out = certify_k_colorable(g, k, db)
+        assert out == reference_certify(g, k, db)
+        shortcut += chroma._greedy(g).palette_size <= k
+    assert shortcut > 100  # the shortcut answered many of them
+
+
+def test_a_greedy_colourable_host_certifies_with_no_budget(petersen):
+    db = CriticalDb(4, (), (to_graph6(complete_graph(4)),))
+    for g in (C5, petersen, complete_graph(3), empty_graph(0)):
+        counter = _Budget(0)
+        assert certify_k_colorable(g, 3, db, counter) == is_k_colorable(g, 3) == chroma._greedy(g)
+        assert counter.left == 0
+    # the family check still runs first
+    with pytest.raises(PatternViolation):
+        certify_k_colorable(parse_graph6("Dh?"), 3, make_db())  # P4 + P1
+    with pytest.raises(BudgetExhausted):
+        certify_k_colorable(C5, 3, make_db(), _Budget(0))
 
 
 def test_a_loaded_database_parses_each_member_once(monkeypatch):
@@ -487,13 +555,16 @@ def test_a_loaded_database_parses_each_member_once(monkeypatch):
 
 def test_report_and_certify_spend_from_a_shared_counter(petersen):
     # K4 alone misses W5, so certifying W5 runs every stage down to the
-    # extraction of a witness
+    # extraction of a witness; G?K}fC is 3-colourable but its greedy needs 4
+    # colours, so certify runs the member scan and the colouring search.
+    # The greedy 3-colours C5 and the Petersen graph: certify spends nothing
     db = CriticalDb(4, (), (to_graph6(complete_graph(4)),))
-    for g in (C5, W5, petersen):
+    for g, greedy_fits in ((C5, True), (W5, False), (petersen, True), (GREEDY_NEEDS_4, False)):
         report = lambda b: criticality_report(g, 3, b)
         certify = lambda b: certify_k_colorable(g, 3, db, b)
         each = [nodes_spent(report), nodes_spent(certify)]
-        assert each == [least_budget(report), least_budget(certify)] and min(each) > 0
+        assert each == [least_budget(report), least_budget(certify)] and each[0] > 0
+        assert (each[1] == 0) == greedy_fits
         counter = _Budget(sum(each))
         assert report(counter) == criticality_report(g, 3)
         assert certify(counter) == certify_k_colorable(g, 3, db)

@@ -113,6 +113,7 @@ def test_every_import_is_read_by_its_module():
 
 
 C5 = critcolor.parse_graph6("Dhc")
+W5 = critcolor.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] + [(v, 5) for v in range(5)])
 K4_DB = critcolor.CriticalDb(4, (), (critcolor.to_graph6(critcolor.complete_graph(4)),))
 
 # one small call of each public function that takes a budget
@@ -126,7 +127,8 @@ BUDGETED_CALLS = {
     "find_induced": lambda b: critcolor.find_induced(C5, critcolor.path(4), budget=b),
     "is_free": lambda b: critcolor.is_free(C5, [critcolor.clique(3), critcolor.path(4)], budget=b),
     "criticality_report": lambda b: critcolor.criticality_report(C5, 3, budget=b),
-    "certify_k_colorable": lambda b: critcolor.certify_k_colorable(C5, 3, K4_DB, budget=b),
+    # W5 = C5 plus a universal vertex: the greedy needs 4 colours, so every stage runs
+    "certify_k_colorable": lambda b: critcolor.certify_k_colorable(W5, 3, K4_DB, budget=b),
 }
 
 

@@ -4,7 +4,7 @@ The package is organised around an immutable bitmask ``Graph``:
 
 ``graphs``       graph6 parsing/serialisation and set-level adjacency queries
 ``patterns``     induced-subgraph search and forbidden-family tests
-``chroma``       exact clique, independence and chromatic numbers
+``chroma``       exact clique and chromatic numbers, k-colourability decisions
 ``cograph``      cotree recognition, colouring, anticomplete pair extraction
 ``critical``     criticality reports, structural obstructions, witness databases
 ``enumeration``  canonical forms and isomorphism-free generation
@@ -19,7 +19,6 @@ from .chroma import (
     Coloring,
     chromatic_number,
     clique_number,
-    independence_number,
     is_k_colorable,
     is_proper_coloring,
 )
@@ -39,12 +38,10 @@ from .cograph import (
     realize_cotree,
     recognize,
     render_cotree,
-    validate_cotree,
 )
 from .construct import (
     bound_f,
     closed_neighborhood_partition,
-    color_k3_free,
     color_kk_free,
     greedy_independent_set,
 )
@@ -55,7 +52,6 @@ from .critical import (
     antichain_check,
     certify_k_colorable,
     criticality_report,
-    extract_critical_subgraph,
     find_comparable_nonadjacent,
     find_lemma_xy_violation,
     load_critdb,
@@ -78,7 +74,6 @@ from .graphs import (
     Graph6Error,
     complement,
     complete_graph,
-    connected_components,
     delete_vertex,
     disjoint_union,
     empty_graph,

@@ -1,4 +1,4 @@
-"""Exact clique number, independence number and chromatic number.
+"""Exact clique number, chromatic number and k-colourability decisions.
 
 Everything here is branch and bound over bitmasks.  No timeouts: callers at
 desk scale (n up to a dozen or so) get exact answers fast, and the optional
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, complement
+from .graphs import Graph, bits_of
 
 
 class BudgetExhausted(RuntimeError):
@@ -26,22 +26,22 @@ class Coloring:
     assignment: tuple[int, ...]
 
     def classes(self) -> list[frozenset[int]]:
-        out: list[set[int]] = [set() for _ in range(self.palette_size)]
+        return [bits_of(m) for m in self._class_masks()]
+
+    def _class_masks(self) -> list[int]:
+        """The colour classes as vertex masks, colour 1 first."""
+        masks = [0] * self.palette_size
         for v, c in enumerate(self.assignment):
-            out[c - 1].add(v)
-        return [frozenset(s) for s in out]
+            masks[c - 1] |= 1 << v
+        return masks
 
 
 def is_proper_coloring(g: Graph, col: Coloring) -> bool:
     """A colour in 1..palette_size per vertex; no row meets its own class."""
-    if len(col.assignment) != g.n:
+    if len(col.assignment) != g.n or not all(1 <= c <= col.palette_size for c in col.assignment):
         return False
-    classes: dict[int, int] = {}
-    for v, c in enumerate(col.assignment):
-        if not 1 <= c <= col.palette_size:
-            return False
-        classes[c] = classes.get(c, 0) | 1 << v
-    return not any(row & classes[c] for row, c in zip(g.rows, col.assignment))
+    classes = col._class_masks()
+    return not any(row & classes[c - 1] for row, c in zip(g.rows, col.assignment))
 
 
 class _Budget:
@@ -125,11 +125,6 @@ def _clique(g: Graph, counter: Optional[_Budget]) -> int:
 def clique_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
     """Largest clique size.  ``budget`` caps the search (see ``_Budget``)."""
     return _clique(g, _counter(budget)).bit_count()
-
-
-def independence_number(g: Graph, budget: Optional[int | _Budget] = None) -> int:
-    """Largest independent set size: the clique number of the complement."""
-    return clique_number(complement(g), budget)
 
 
 def is_k_colorable(

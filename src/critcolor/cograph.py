@@ -62,20 +62,10 @@ def cotree_leaves(t: Cotree) -> list[int]:
     return out
 
 
-def validate_cotree(t: Cotree) -> None:
-    """Check arity >= 2 and strict union/join alternation."""
-    if isinstance(t, Leaf):
-        return
-    if len(t.children) < 2:
-        raise ValueError("internal cotree nodes need at least two children")
-    for c in t.children:
-        if type(c) is type(t):
-            raise ValueError("unions and joins must alternate")
-        validate_cotree(c)
-
-
 def realize_cotree(t: Cotree) -> Graph:
-    """The graph a cotree describes.  Leaf ids must be exactly 0..n-1."""
+    """The graph a cotree describes.  A ValueError unless the leaf ids are
+    exactly 0..n-1, every internal node has at least two children, and
+    unions and joins alternate."""
     leaves = sorted(cotree_leaves(t))
     n = len(leaves)
     if leaves != list(range(n)):
@@ -85,6 +75,10 @@ def realize_cotree(t: Cotree) -> Graph:
     def walk(node: Cotree) -> int:
         if isinstance(node, Leaf):
             return 1 << node.vertex
+        if len(node.children) < 2:
+            raise ValueError("internal cotree nodes need at least two children")
+        if any(type(c) is type(node) for c in node.children):
+            raise ValueError("unions and joins must alternate")
         masks = [walk(c) for c in node.children]
         total = 0
         for m in masks:

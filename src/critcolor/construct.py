@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .chroma import Coloring, is_proper_coloring
 from .cograph import cograph_color, recognize
-from .graphs import Graph, induced_subgraph, iter_bits, mask_of
+from .graphs import Graph, induced_subgraph, iter_bits, mask_of, set_neighborhood_mask
 from .patterns import PatternViolation, clique, format_pattern, is_free, path, plus_isolated
 
 
@@ -106,20 +106,13 @@ def _color_bounded(g: Graph, ell: int, k: int) -> list[int]:
             for j, v in enumerate(block):
                 assignment[v] = offset + sub_assign[j]
         tail = 1 + len(s) * width
-    covered = set(s)
-    for block in blocks:
-        covered.update(block)
-    remainder = [v for v in range(g.n) if v not in covered]
+    smask = mask_of(s)  # the blocks and S tile N[S]; the remainder is the rest
+    remainder = list(iter_bits((1 << g.n) - 1 & ~(smask | set_neighborhood_mask(g, smask))))
     if remainder:
         # anticomplete to S, so its first colour class can reuse colour 1
         for v, c in zip(remainder, _cotree_palette(g, remainder)):
             assignment[v] = 1 if c == 1 else tail + c - 1
     return assignment
-
-
-def color_k3_free(g: Graph, ell: int, check: bool = True) -> Coloring:
-    """Colour a (P4+ell*P1, K3)-free graph with at most ell+2 colours."""
-    return color_kk_free(g, ell, 3, check)
 
 
 def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:

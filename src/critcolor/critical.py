@@ -88,7 +88,7 @@ def _deletions(g: Graph, k: int, counter: Optional[chroma._Budget]) -> tuple[int
     if k < 1:
         raise ValueError("k must be at least 1")
     chi, col, clique = chroma._chromatic(g, counter)
-    classes = [mask_of(c) for c in col.classes()]
+    classes = col._class_masks()
     return chi, (_keeps_chi(g, v, chi, classes, clique, counter) for v in range(g.n))
 
 
@@ -127,8 +127,9 @@ def _keeps_chi(
 def _extract_with_kept(
     g: Graph, k: int, budget: Optional[int | chroma._Budget] = None
 ) -> tuple[Graph, tuple[int, ...]]:
-    """Delete the least-indexed vertex whose deletion keeps chi >= k while
-    there is one.  While chi > k every deletion qualifies; at chi = k,
+    """A k-vertex-critical induced subgraph of g, and the vertices of g it
+    keeps: delete the least-indexed vertex whose deletion keeps chi >= k
+    while there is one.  While chi > k every deletion qualifies; at chi = k,
     ``_keeps_chi`` decides, and the colouring and clique carry over."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -136,7 +137,7 @@ def _extract_with_kept(
     chi, col, clique = chroma._chromatic(g, counter)
     if chi < k:
         raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
-    classes = [mask_of(c) for c in col.classes()]
+    classes = col._class_masks()
     kept = list(range(g.n))
     current = g
     while True:
@@ -146,22 +147,13 @@ def _extract_with_kept(
                 current = delete_vertex(current, i)
                 if chi > k:
                     chi, col, clique = chroma._chromatic(current, counter)
-                    classes = [mask_of(c) for c in col.classes()]
+                    classes = col._class_masks()
                 else:
                     classes = [without_vertex(c, i) for c in classes]
                     clique = without_vertex(clique, i)
                 break
         else:
             return current, tuple(kept)
-
-
-def extract_critical_subgraph(g: Graph, k: int) -> Graph:
-    """Greedily delete vertices while the chromatic number stays >= k.
-
-    Always deletes the least-indexed deletable vertex, so the result is
-    deterministic.  When no vertex can go, what remains is k-vertex-critical.
-    """
-    return _extract_with_kept(g, k)[0]
 
 
 def find_comparable_nonadjacent(g: Graph) -> Optional[tuple[int, int]]:
@@ -301,7 +293,14 @@ def parse_critdb(text: str) -> CriticalDb:
     if not lines or not lines[0][1].startswith("#critdb "):
         raise ValueError("missing #critdb header line")
     at, header = lines[0][0], lines[0][1][len("#critdb "):].strip()
-    fields = dict(part.split("=", 1) for part in header.split(" ") if "=" in part)
+    fields: dict[str, str] = {}
+    for part in header.split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"line {at}: header token {part!r} is not key=value")
+        if key in fields:
+            raise ValueError(f"line {at}: repeated header key {key!r}")
+        fields[key] = value
     if "k" not in fields or "family" not in fields:
         raise ValueError(f"line {at}: header must carry k= and family=")
     try:
@@ -312,7 +311,10 @@ def parse_critdb(text: str) -> CriticalDb:
         raise ValueError(f"line {at}: k must be at least 1, got {k}")
     try:
         # commas inside parentheses belong to a pattern, as in broom(3,2)
-        family = tuple(parse_pattern(t) for t in re.split(r",(?![^(]*\))", fields["family"]) if t)
+        names = re.split(r",(?![^(]*\))", fields["family"]) if fields["family"] else []
+        if "" in names:
+            raise ValueError(f"empty family entry in {fields['family']!r}")
+        family = tuple(parse_pattern(t) for t in names)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from exc
     graphs = []

@@ -369,8 +369,9 @@ def to_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# vertex-set helpers.  Public functions take/return frozensets; the _mask
-# variants are the bitmask fast path used throughout the package.
+# vertex-set helpers.  Inside the package vertex sets are bitmasks.  The
+# set predicates below take any iterable of vertices and check its range;
+# set_neighborhood_mask, the one neighbourhood query, is masks in and out.
 # ---------------------------------------------------------------------------
 
 
@@ -403,31 +404,12 @@ def _check_vertices(g: Graph, vertices: Iterable[int]) -> int:
     return m
 
 
-def neighborhood(g: Graph, v: int) -> frozenset[int]:
-    """Open neighbourhood N(v)."""
-    return bits_of(g.rows[v])
-
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return bits_of(g.rows[v] | 1 << v)
-
-
 def set_neighborhood_mask(g: Graph, smask: int) -> int:
+    """N(S) as a mask: the vertices outside S with a neighbour in S."""
     acc = 0
     for v in iter_bits(smask):
         acc |= g.rows[v]
     return acc & ~smask
-
-
-def set_neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """N(S): vertices outside S with a neighbour in S."""
-    return bits_of(set_neighborhood_mask(g, _check_vertices(g, s)))
-
-
-def closed_set_neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """N[S] = N(S) together with S itself."""
-    m = _check_vertices(g, s)
-    return bits_of(set_neighborhood_mask(g, m) | m)
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
@@ -515,18 +497,6 @@ def _component(g: Graph, v: int) -> int:
         frontier = set_neighborhood_mask(g, frontier) & ~comp
         comp |= frontier
     return comp
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Components as vertex sets, ordered by least member."""
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        if not seen >> v & 1:
-            comp = _component(g, v)
-            seen |= comp
-            comps.append(bits_of(comp))
-    return comps
 
 
 def is_connected(g: Graph) -> bool:

@@ -15,7 +15,7 @@ from critcolor.chroma import (
     is_proper_coloring,
 )
 from critcolor.cograph import find_anticomplete_pair
-from critcolor.construct import bound_f, color_k3_free, color_kk_free
+from critcolor.construct import bound_f, color_kk_free
 from critcolor.critical import (
     CriticalWitness,
     certify_k_colorable,
@@ -33,8 +33,9 @@ from critcolor.graphs import (
     is_anticomplete_between,
     is_complete_between,
     is_connected,
+    mask_of,
     parse_graph6,
-    set_neighborhood,
+    set_neighborhood_mask,
     to_graph6,
 )
 from critcolor.patterns import clique, embedding_is_induced, path, plus_isolated
@@ -79,7 +80,7 @@ def test_criterion_02_triangle_free_colouring_bound():
     for ell in (1, 2):
         family = [plus_isolated(path(4), ell), clique(3)]
         for g in enumerate_up_to(9, filters=family):
-            col = color_k3_free(g, ell, check=False)
+            col = color_kk_free(g, ell, 3, check=False)
             ok = (is_proper_coloring(g, col)
                   and col.palette_size <= ell + 2
                   and chromatic_number(g)[0] <= ell + 2)
@@ -118,7 +119,8 @@ def test_criterion_04_anticomplete_pair_totality(cographs_up_to_8):
         x, y, w = sorted(pair.x), sorted(pair.y), sorted(pair.w)
         ok = (bool(x) and bool(y) and not set(x) & set(y)
               and is_anticomplete_between(g, x, y)
-              and set_neighborhood(g, x) == pair.w == set_neighborhood(g, y)
+              and set_neighborhood_mask(g, mask_of(x)) == mask_of(pair.w)
+              == set_neighborhood_mask(g, mask_of(y))
               and bool(pair.w)
               and is_complete_between(g, x, w)
               and is_complete_between(g, y, w))

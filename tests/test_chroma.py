@@ -12,7 +12,6 @@ from critcolor.chroma import (
     _counter,
     chromatic_number,
     clique_number,
-    independence_number,
     is_k_colorable,
     is_proper_coloring,
 )
@@ -48,7 +47,7 @@ GROTZSCH = from_edges(11, [
 
 def test_known_values(petersen):
     assert clique_number(petersen) == 2
-    assert independence_number(petersen) == 4
+    assert clique_number(complement(petersen)) == 4  # independence number
     assert chromatic_number(petersen)[0] == 3
     assert chromatic_number(C5)[0] == 3
     assert clique_number(GROTZSCH) == 2
@@ -61,7 +60,7 @@ def test_degenerate_graphs():
     assert chromatic_number(empty_graph(4))[0] == 1
     assert clique_number(empty_graph(0)) == 0
     assert clique_number(empty_graph(3)) == 1
-    assert independence_number(complete_graph(3)) == 1
+    assert clique_number(complement(complete_graph(3))) == 1
 
 
 def test_colorings_returned_are_proper_and_tight():
@@ -102,7 +101,7 @@ def test_excess_palette_is_not_padded():
 @given(graphs(max_n=7))
 def test_clique_and_independence_match_brute_force(g):
     assert clique_number(g) == naive_clique_number(g)
-    assert independence_number(g) == naive_independence_number(g)
+    assert clique_number(complement(g)) == naive_independence_number(g)
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,7 +123,7 @@ def test_decision_agrees_with_oracle_at_the_threshold(g):
 
 @given(graphs(max_n=7))
 def test_clique_is_complement_independence(g):
-    assert clique_number(g) == independence_number(complement(g))
+    assert clique_number(g) == naive_independence_number(complement(g))
 
 
 @given(graphs(max_n=8, min_n=1))

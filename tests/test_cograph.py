@@ -17,7 +17,6 @@ from critcolor.cograph import (
     realize_cotree,
     recognize,
     render_cotree,
-    validate_cotree,
 )
 from critcolor.enumeration import enumerate_graphs
 from critcolor.graphs import (
@@ -28,7 +27,7 @@ from critcolor.graphs import (
     is_anticomplete_between,
     is_complete_between,
     is_connected,
-    set_neighborhood,
+    mask_of,
     set_neighborhood_mask,
 )
 from critcolor.patterns import find_induced, path
@@ -52,20 +51,23 @@ def test_render_and_leaves():
 
 
 def test_validate_cotree_rejects_malformed_terms():
-    with pytest.raises(ValueError):
-        validate_cotree(JoinNode((Leaf(0),)))
-    with pytest.raises(ValueError):
-        validate_cotree(JoinNode((Leaf(0), JoinNode((Leaf(1), Leaf(2))))))
-    with pytest.raises(ValueError):
-        validate_cotree(UnionNode((Leaf(0), UnionNode((Leaf(1), Leaf(2))))))
-    validate_cotree(JoinNode((Leaf(0), UnionNode((Leaf(1), Leaf(2))))))
+    # realize_cotree validates arity and alternation as it builds the graph
+    with pytest.raises(ValueError, match="at least two children"):
+        realize_cotree(JoinNode((Leaf(0),)))
+    with pytest.raises(ValueError, match="at least two children"):
+        realize_cotree(JoinNode((Leaf(0), UnionNode((Leaf(1),)))))
+    with pytest.raises(ValueError, match="alternate"):
+        realize_cotree(JoinNode((Leaf(0), JoinNode((Leaf(1), Leaf(2))))))
+    with pytest.raises(ValueError, match="alternate"):
+        realize_cotree(UnionNode((Leaf(0), UnionNode((Leaf(1), Leaf(2))))))
+    realize_cotree(JoinNode((Leaf(0), UnionNode((Leaf(1), Leaf(2))))))
 
 
 def test_realize_cotree():
     t = JoinNode((Leaf(0), UnionNode((Leaf(1), Leaf(2)))))
     g = realize_cotree(t)
     assert sorted(g.edges()) == [(0, 1), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0..n-1"):
         realize_cotree(JoinNode((Leaf(0), Leaf(2))))  # leaf ids must be 0..n-1
 
 
@@ -93,8 +95,7 @@ def test_recognition_is_dual_to_p4_search(g):
         assert find_induced(g, path(4)) is not None
     else:
         assert find_induced(g, path(4)) is None
-        assert realize_cotree(tree) == g
-        validate_cotree(tree)
+        assert realize_cotree(tree) == g  # which also checks arity and alternation
 
 
 def test_every_small_cograph_round_trips():
@@ -162,7 +163,8 @@ def test_pair_invariants_on_all_small_cographs():
             x, y, w = sorted(pair.x), sorted(pair.y), sorted(pair.w)
             assert x and y and not set(x) & set(y)
             assert is_anticomplete_between(g, x, y)
-            assert set_neighborhood(g, x) == pair.w == set_neighborhood(g, y)
+            w_mask = mask_of(pair.w)
+            assert set_neighborhood_mask(g, mask_of(x)) == w_mask == set_neighborhood_mask(g, mask_of(y))
             assert is_complete_between(g, x, w)
             assert is_complete_between(g, y, w)
             checked += 1

@@ -9,18 +9,18 @@ from critcolor.construct import (
     _compact,
     bound_f,
     closed_neighborhood_partition,
-    color_k3_free,
     color_kk_free,
     greedy_independent_set,
 )
 from critcolor.enumeration import enumerate_up_to
 from critcolor.graphs import (
-    closed_set_neighborhood,
     complete_graph,
     disjoint_union,
     empty_graph,
     from_edges,
     is_independent,
+    mask_of,
+    set_neighborhood_mask,
 )
 from critcolor.patterns import PatternViolation, clique, path, plus_isolated
 
@@ -77,7 +77,7 @@ def test_greedy_independent_set_properties(g, ell):
     assert s == sorted(s)
     if len(s) < ell:
         # inclusion-maximal: every vertex sees the set
-        assert closed_set_neighborhood(g, s) == frozenset(range(g.n))
+        assert set_neighborhood_mask(g, mask_of(s)) | mask_of(s) == (1 << g.n) - 1
 
 
 def test_greedy_independent_set_stops_at_ell_vertices_even_at_zero():
@@ -105,7 +105,7 @@ def test_neighborhood_partition_tiles_the_closed_neighborhood(g, ell):
             assert v not in seen
             assert g.has_edge(si, v)
             seen.add(v)
-    assert seen == closed_set_neighborhood(g, s)
+    assert mask_of(seen) == set_neighborhood_mask(g, mask_of(s)) | mask_of(s)
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +114,14 @@ def test_neighborhood_partition_tiles_the_closed_neighborhood(g, ell):
 
 
 def test_worked_examples():
-    col = color_k3_free(C5, 1)
+    col = color_kk_free(C5, 1, 3)
     assert is_proper_coloring(C5, col) and col.palette_size == 3
 
     g = disjoint_union(C5, empty_graph(1))
-    col = color_k3_free(g, 2)
+    col = color_kk_free(g, 2, 3)
     assert is_proper_coloring(g, col) and col.palette_size <= 4
 
-    col = color_k3_free(complete_graph(2), 0)
+    col = color_kk_free(complete_graph(2), 0, 3)
     assert col.palette_size == 2
 
     col = color_kk_free(W5, 1, 4)
@@ -131,10 +131,10 @@ def test_worked_examples():
 
 def test_precondition_violations_raise_with_witness():
     with pytest.raises(PatternViolation) as exc:
-        color_k3_free(complete_graph(3), 1)
+        color_kk_free(complete_graph(3), 1, 3)
     assert exc.value.spec == clique(3)
     with pytest.raises(PatternViolation):
-        color_k3_free(from_edges(5, [(0, 1), (1, 2), (2, 3)]), 1)  # P4 + isolated vertex
+        color_kk_free(from_edges(5, [(0, 1), (1, 2), (2, 3)]), 1, 3)  # P4 + isolated vertex
     with pytest.raises(ValueError):
         color_kk_free(C5, 1, 2)
     with pytest.raises(ValueError):
@@ -145,30 +145,30 @@ def test_unchecked_calls_still_verify_the_output():
     # without the family check, an improper result means the input is
     # outside the family: a usage error naming the family
     with pytest.raises(ValueError, match=r"not \(P4\+P1, K3\)-free"):
-        color_k3_free(complete_graph(3), 1, check=False)
+        color_kk_free(complete_graph(3), 1, 3, check=False)
     # K1+K4 colours properly with 4 colours, one more than bound_f(3, 1):
     # that too proves the input is outside the family
     k1_k4 = disjoint_union(empty_graph(1), complete_graph(4))
     with pytest.raises(ValueError, match=r"not \(P4\+P1, K3\)-free: .* 4 colours, above the bound 3"):
-        color_k3_free(k1_k4, 1, check=False)
+        color_kk_free(k1_k4, 1, 3, check=False)
     with pytest.raises(PatternViolation):
-        color_k3_free(k1_k4, 1)
+        color_kk_free(k1_k4, 1, 3)
 
 
 def test_unchecked_inputs_with_a_p4_remainder_name_the_family():
     # the isolated vertex is S, and the P4 left over has no cotree
     p4_p1 = from_edges(5, [(1, 2), (2, 3), (3, 4)])
     with pytest.raises(ValueError, match=r"^graph is not \(P4\+P1, K3\)-free: .* remainder with an induced P4"):
-        color_k3_free(p4_p1, 1, check=False)
+        color_kk_free(p4_p1, 1, 3, check=False)
     with pytest.raises(ValueError, match=r"^graph is not \(P4, K3\)-free: .* remainder with an induced P4"):
-        color_k3_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, check=False)
+        color_kk_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 3, check=False)
     with pytest.raises(PatternViolation):
-        color_k3_free(p4_p1, 1)
+        color_kk_free(p4_p1, 1, 3)
 
 
 def test_ell_zero_requires_a_cograph():
     with pytest.raises(ValueError):
-        color_k3_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0)
+        color_kk_free(from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 3)
 
 
 def test_ell_zero_colours_the_whole_graph_from_its_cotree():
@@ -180,14 +180,14 @@ def test_ell_zero_colours_the_whole_graph_from_its_cotree():
 
 
 def test_empty_graph():
-    assert color_k3_free(empty_graph(0), 1).palette_size == 0
+    assert color_kk_free(empty_graph(0), 1, 3).palette_size == 0
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_triangle_free_family_stays_within_bound(ell):
     family = [plus_isolated(path(4), ell), clique(3)]
     for g in enumerate_up_to(7, filters=family):
-        col = color_k3_free(g, ell, check=False)
+        col = color_kk_free(g, ell, 3, check=False)
         assert is_proper_coloring(g, col)
         assert col.palette_size <= ell + 2
         assert chromatic_number(g)[0] <= col.palette_size

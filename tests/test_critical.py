@@ -24,7 +24,6 @@ from critcolor.critical import (
     antichain_check,
     certify_k_colorable,
     criticality_report,
-    extract_critical_subgraph,
     find_comparable_nonadjacent,
     find_lemma_xy_violation,
     load_critdb,
@@ -189,18 +188,18 @@ def test_extraction_keeps_the_full_search_rule(g, drop):
 
 def test_extract_critical_subgraph():
     g = disjoint_union(C5, complete_graph(1))
-    sub = extract_critical_subgraph(g, 3)
+    sub = _extract_with_kept(g, 3)[0]
     assert naive_is_isomorphic(sub, C5)
-    assert extract_critical_subgraph(C5, 3) == C5
-    sub = extract_critical_subgraph(disjoint_union(complete_graph(4), complete_graph(3)), 4)
+    assert _extract_with_kept(C5, 3)[0] == C5
+    sub = _extract_with_kept(disjoint_union(complete_graph(4), complete_graph(3)), 4)[0]
     assert sub == complete_graph(4)
     with pytest.raises(ValueError):
-        extract_critical_subgraph(C5, 4)
+        _extract_with_kept(C5, 4)
     # below k = 1 every graph keeps chi >= k, so nothing else would stop
     # the extraction from deleting every vertex
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
-            extract_critical_subgraph(complete_graph(3), k)
+            _extract_with_kept(complete_graph(3), k)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +403,11 @@ def test_parse_critdb_rejects_malformed_input():
     ("#critdb family=P4\nBw\n", "line 1: header must carry k= and family="),
     ("\n#critdb k=0 family=\n", "line 2: k must be at least 1, got 0"),
     ("#critdb k=3 family=\n\nBw\n\nD?\n", "line 5: need 2 adjacency bytes for n=5, found 1 (byte offset 2)"),
+    ("#critdb k=4 k=5 family=\nC~\n", "line 1: repeated header key 'k'"),
+    ("#critdb k=4 family=P4+P1 family=P5\n", "line 1: repeated header key 'family'"),
+    ("#critdb k=4 family=P4+P1 bogus\nC~\n", "line 1: header token 'bogus' is not key=value"),
+    ("#critdb k=4 family=,,\nC~\n", "line 1: empty family entry in ',,'"),
+    ("#critdb k=4 family=P4,,P5\n", "line 1: empty family entry in 'P4,,P5'"),
 ])
 def test_parse_critdb_errors_name_the_line(text, message):
     with pytest.raises(ValueError) as info:
@@ -646,5 +650,5 @@ def test_report_verdict_survives_relabeling():
 @given(graphs(max_n=7, min_n=1))
 def test_extracted_subgraph_is_always_critical(g):
     k = chromatic_number(g)[0]
-    sub = extract_critical_subgraph(g, k)
+    sub = _extract_with_kept(g, k)[0]
     assert criticality_report(sub, k).verdict

@@ -7,14 +7,12 @@ from critcolor.graphs import (
     Graph,
     Graph6Error,
     _adjacency_bits,
+    _component,
     _encode_graph6,
     _rows_from_bits,
     bits_of,
-    closed_neighborhood,
-    closed_set_neighborhood,
     complement,
     complete_graph,
-    connected_components,
     delete_vertex,
     disjoint_union,
     empty_graph,
@@ -28,9 +26,8 @@ from critcolor.graphs import (
     iter_bits,
     mask_of,
     mixed_vertices,
-    neighborhood,
     parse_graph6,
-    set_neighborhood,
+    set_neighborhood_mask,
     to_graph6,
     validate,
 )
@@ -163,25 +160,23 @@ def test_mask_round_trip():
 
 
 def test_neighborhoods():
-    assert neighborhood(P4, 1) == {0, 2}
-    assert closed_neighborhood(P4, 1) == {0, 1, 2}
-    assert set_neighborhood(P4, [0, 3]) == {1, 2}
-    assert set_neighborhood(P4, [1]) == {0, 2}
-    assert closed_set_neighborhood(P4, [0, 1]) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        set_neighborhood(P4, [9])
-    for bad in ([-1], [0, -1]):
+    assert set_neighborhood_mask(P4, mask_of([1])) == mask_of([0, 2])
+    assert set_neighborhood_mask(P4, mask_of([0, 3])) == mask_of([1, 2])
+    assert set_neighborhood_mask(P4, mask_of([0, 1])) == mask_of([2])
+    assert set_neighborhood_mask(P4, 0) == 0
+    # the set predicates check their vertices
+    for bad in ([9], [-1], [0, -1]):
         with pytest.raises(ValueError, match="vertex outside graph"):
-            set_neighborhood(P4, bad)
-        with pytest.raises(ValueError, match="vertex outside graph"):
-            closed_set_neighborhood(P4, bad)
+            is_independent(P4, bad)
 
 
 @given(graphs(max_n=8))
 def test_closed_neighborhood_adds_the_vertex(g):
     for v in range(g.n):
-        assert closed_neighborhood(g, v) == neighborhood(g, v) | {v}
-        assert v not in neighborhood(g, v)
+        assert set_neighborhood_mask(g, 1 << v) == g.rows[v]
+    for smask in range(1 << min(g.n, 5)):
+        closed = set_neighborhood_mask(g, smask) | smask
+        assert bits_of(closed) == {v for v in range(g.n) if smask >> v & 1 or g.rows[v] & smask}
 
 
 def test_independence_and_betweenness():
@@ -272,12 +267,12 @@ def test_disjoint_union():
 
 @given(graphs(max_n=9))
 def test_components_partition_and_are_anticomplete(g):
-    comps = connected_components(g)
-    all_vs = sorted(v for c in comps for v in c)
-    assert all_vs == list(range(g.n))
-    for i, a in enumerate(comps):
-        for b in comps[i + 1:]:
-            assert is_anticomplete_between(g, a, b)
+    comps = {_component(g, v) for v in range(g.n)}
+    assert all(_component(g, v) == comp for comp in comps for v in iter_bits(comp))
+    assert sum(comp.bit_count() for comp in comps) == g.n
+    for a in comps:
+        for b in comps - {a}:
+            assert is_anticomplete_between(g, iter_bits(a), iter_bits(b))
     assert is_connected(g) == (len(comps) <= 1)
 
 
@@ -289,8 +284,9 @@ def test_is_connected_matches_oracle(g):
 
 def test_components_ordered_by_least_vertex():
     g = from_edges(5, [(1, 3), (0, 4)])
-    comps = connected_components(g)
+    comps = [bits_of(_component(g, v)) for v in (0, 1, 2)]  # each from its least vertex
     assert comps == [frozenset({0, 4}), frozenset({1, 3}), frozenset({2})]
+    assert [_component(g, v) for v in (4, 3)] == [mask_of([0, 4]), mask_of([1, 3])]
 
 
 def test_graph_is_hashable_and_immutable():

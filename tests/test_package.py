@@ -1,11 +1,14 @@
 import ast
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
 
 import critcolor
 from critcolor.chroma import _Budget
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_star_import_binds_names_not_submodules():
@@ -112,6 +115,91 @@ def test_every_import_is_read_by_its_module():
     assert unused_imports(Path(critcolor.__file__).parent) == []
 
 
+def names_read_from_package(consumers: list[ast.AST], package: str) -> set[str]:
+    """The names the consumers import from the package, or read as
+    attributes of a name some consumer binds to the package or to something
+    in it (one consumer may hand the package on to another, as ``cc = w.cc``)."""
+    bound, names = set(), set()
+    for tree in consumers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names
+                          if alias.name.partition(".")[0] == package}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == package:
+                names |= {alias.name for alias in node.names}
+                bound |= {alias.asname or alias.name for alias in node.names}
+    for tree in consumers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in bound:
+                    names.add(node.attr)
+    return names
+
+
+def definitions(tree: ast.Module, name: str) -> ast.Module:
+    """The top-level statements of a module that define name."""
+    return ast.Module([top for top in tree.body if name == getattr(top, "name", None)
+                       or name in {t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)}], [])
+
+
+def exports_without_readers(package_dir: Path, exported, consumers, readme: str) -> list[str]:
+    """The exported names that nothing uses: no module of the package
+    (``__init__`` aside) reads one outside its own definition, no consumer
+    file imports it from the package or reads it as an attribute of the
+    package, and the README does not name it in backticks.  A consumer's
+    own function of the same name is not a use."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package_dir.glob("*.py")) if path.name != "__init__.py"]
+    read = set()
+    for tree in trees:
+        read |= {name for name in set(exported) & referenced_names(tree, ast.Pass())
+                 if name in referenced_names(tree, definitions(tree, name))}
+    consumer_trees = [ast.parse(path.read_text(), filename=str(path)) for path in consumers]
+    read |= names_read_from_package(consumer_trees, package_dir.name)
+    for span in re.findall(r"`+([^`]+)`+", readme):
+        read |= set(re.findall(r"[A-Za-z_]\w*", span))
+    return [name for name in exported if name not in read]
+
+
+def test_export_guard_finds_an_export_nothing_uses(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .mod import LIMIT, by_attribute, by_import, handed_on, in_readme, inside, shadowed, unused\n")
+    (package / "mod.py").write_text(
+        "LIMIT = 3\n"
+        "def inside(): return LIMIT\n"
+        "def unused(): return unused\n"
+        "def shadowed(): pass\n"
+        "def by_import(): pass\n"
+        "def by_attribute(): pass\n"
+        "def handed_on(): pass\n"
+        "def in_readme(): pass\n"
+        "def _helper(): return inside()\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import pkg as p\n"
+        "from pkg.mod import by_import\n"
+        "def shadowed(): pass\n"
+        "shadowed(), by_import(), p.by_attribute(), unused()\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("import script\np = script.p\np.handed_on()\nscript.unused()\n")
+    readme = "Call `in_readme(x)`, not unused or shadowed.\n"
+    exported = ["LIMIT", "by_attribute", "by_import", "handed_on", "in_readme", "inside", "shadowed", "unused"]
+    assert exports_without_readers(package, exported, [script, other], readme) == ["shadowed", "unused"]
+
+
+def test_every_export_is_used_or_documented():
+    consumers = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    readme = (ROOT / "README.md").read_text()
+    assert exports_without_readers(Path(critcolor.__file__).parent, critcolor.__all__, consumers, readme) == []
+
+
 C5 = critcolor.parse_graph6("Dhc")
 W5 = critcolor.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] + [(v, 5) for v in range(5)])
 K4_DB = critcolor.CriticalDb(4, (), (critcolor.to_graph6(critcolor.complete_graph(4)),))
@@ -119,7 +207,6 @@ K4_DB = critcolor.CriticalDb(4, (), (critcolor.to_graph6(critcolor.complete_grap
 # one small call of each public function that takes a budget
 BUDGETED_CALLS = {
     "clique_number": lambda b: critcolor.clique_number(C5, budget=b),
-    "independence_number": lambda b: critcolor.independence_number(C5, budget=b),
     "is_k_colorable": lambda b: critcolor.is_k_colorable(C5, 3, budget=b),
     "chromatic_number": lambda b: critcolor.chromatic_number(C5, budget=b),
     "find_induced_subgraph": lambda b: critcolor.find_induced_subgraph(

@@ -138,7 +138,10 @@ def is_k_colorable(
     fresh colour last and only while fewer than k are open.  Colour classes
     appear in first-use order and the result is deterministic.  With k >= n
     the search never backtracks: its one descent is the DSATUR greedy.
-    ``budget`` caps the search nodes (see ``_Budget``).
+    ``budget`` caps the search nodes (see ``_Budget``).  An uncapped call
+    that finds no colouring keeps k on the graph as its floor, and later
+    uncapped calls for k up to the floor answer None with no search; like
+    ``_clique``, a capped call never reads or writes it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -147,6 +150,8 @@ def is_k_colorable(
     if k == 0:
         return None
     counter = _counter(budget)
+    if counter is None and k <= g.__dict__.get("_floor", 0):
+        return None  # an uncapped search refuted this k, or a larger one
     rows = g.rows
     n = g.n
     k = min(k, n)  # a colouring never opens more colours than vertices
@@ -200,6 +205,8 @@ def is_k_colorable(
         return False
 
     if not solve():
+        if counter is None:  # kept as _clique is: uncapped calls only
+            g.__dict__["_floor"] = k
         return None
     return Coloring(used, tuple(colour_of))
 

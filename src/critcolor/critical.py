@@ -298,6 +298,8 @@ def parse_critdb(text: str) -> CriticalDb:
         key, eq, value = part.partition("=")
         if not eq:
             raise ValueError(f"line {at}: header token {part!r} is not key=value")
+        if key not in ("k", "family"):
+            raise ValueError(f"line {at}: unknown header key {key!r}")
         if key in fields:
             raise ValueError(f"line {at}: repeated header key {key!r}")
         fields[key] = value

@@ -438,10 +438,13 @@ def enumerate_critical(
 
 def verify_critdb(db: CriticalDb) -> bool:
     """Re-check a database from scratch: members must be canonical, pairwise
-    distinct, family-free and k-vertex-critical (see ``_is_critical``)."""
+    distinct, family-free and k-vertex-critical (see ``_is_critical``).
+    Each member is checked on a fresh copy, so no answer the walk kept on
+    it (``chroma._clique``, ``find_induced_subgraph``'s absences) is reused."""
     if len(set(db.members)) != len(db.members):
         return False
     for text, g in zip(db.members, db.member_graphs):
+        g = Graph(g.n, g.rows)
         if canonical_form(g) != text:
             return False
         if not is_free(g, db.family)[0]:

@@ -243,7 +243,7 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> 
     ``stable`` holds splitter masks known to split no cell; it is updated in
     place.  A splitter that splits nothing splits no refinement either, so
     callers pass the set on to refinements of the partition."""
-    while True:
+    while len(cells) < len(rows):  # a discrete partition splits no further
         for splitter in cells:
             smask = 0
             for v in splitter:
@@ -274,7 +274,8 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], stable: set[int]) -> 
                 break
             stable.add(smask)
         else:
-            return cells
+            break
+    return cells
 
 
 def _orbit(v: int, gens: list[list[int]]) -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Optional
 
-from .chroma import _Budget, _counter
+from .chroma import _Budget, _clique, _counter
 from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
 
 
@@ -346,9 +346,20 @@ def find_induced_subgraph(
     ``_compile_pattern`` and ``_induced_copies``).  The result is re-checked before it is returned.
     ``budget`` caps the placements tried (see ``chroma._Budget``); a
     candidate that a forward check of ``_induced_copies`` drops spends none.
+
+    An uncapped miss keeps the pattern among the host's absences, and a
+    later uncapped call for it answers None with no search; so does one
+    whose pattern has a larger clique than the host's kept one (see
+    ``chroma._clique``).  A capped call never reads or writes either.
     """
+    kept = host.__dict__
+    if budget is None and (pattern in kept.get("_absent", ()) or "_clique" in kept
+                           and _clique(pattern, None).bit_count() > kept["_clique"].bit_count()):
+        return None
     copies = _induced_copies(host, pattern, budget, first=True)
     if not copies:
+        if budget is None:
+            kept["_absent"] = kept.get("_absent", ()) + (pattern,)
         return None
     emb = Embedding(copies[0])
     if not embedding_is_induced(host, pattern, emb):

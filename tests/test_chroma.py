@@ -364,3 +364,34 @@ def test_kept_values_leave_every_capped_count_as_it_is(g):
     assert chromatic_number(kept, before) == answer == chromatic_number(fresh())
     with pytest.raises(BudgetExhausted):
         chromatic_number(kept, before - 1)
+
+
+@pytest.mark.parametrize("g", [C5, GROTZSCH, random_graph(10, 0.5, seed=4)])
+def test_a_kept_floor_never_answers_a_capped_call(g):
+    fresh = lambda: Graph(g.n, g.rows)  # noqa: E731
+    k = naive_chromatic(g) - 1
+    before = nodes_spent(lambda b: is_k_colorable(fresh(), k, b))
+    capped = fresh()
+    assert is_k_colorable(capped, k, 10**6) is None and "_floor" not in capped.__dict__
+    kept = fresh()
+    assert is_k_colorable(kept, k) is None and kept.__dict__["_floor"] == k
+    assert nodes_spent(lambda b: is_k_colorable(kept, k, b)) == before > 1
+    assert is_k_colorable(kept, k, before) is None
+    with pytest.raises(BudgetExhausted):
+        is_k_colorable(kept, k, before - 1)
+    # the floor answers every k up to it, and no k above it
+    assert all(is_k_colorable(kept, j) is None for j in range(k + 1))
+    assert is_k_colorable(kept, k + 1) == is_k_colorable(fresh(), k + 1) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_a_kept_floor_answers_as_a_fresh_search(g, data):
+    kept = Graph(g.n, g.rows)
+    chromatic_number(kept)  # refutes each k from the clique number up to chi - 1
+    is_k_colorable(kept, data.draw(st.integers(min_value=0, max_value=g.n)))
+    for k in range(g.n + 1):
+        answer = is_k_colorable(kept, k)
+        assert answer == is_k_colorable(Graph(g.n, g.rows), k)
+        assert (answer is not None) == naive_is_k_colorable(g, k)
+    assert chromatic_number(kept) == chromatic_number(Graph(g.n, g.rows))

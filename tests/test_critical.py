@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -408,6 +410,9 @@ def test_parse_critdb_rejects_malformed_input():
     ("#critdb k=4 family=P4+P1 bogus\nC~\n", "line 1: header token 'bogus' is not key=value"),
     ("#critdb k=4 family=,,\nC~\n", "line 1: empty family entry in ',,'"),
     ("#critdb k=4 family=P4,,P5\n", "line 1: empty family entry in 'P4,,P5'"),
+    ("#critdb k=4 family=P4+P1 familly=P5\n", "line 1: unknown header key 'familly'"),
+    ("#critdb k=4 family= colour=red\nC~\n", "line 1: unknown header key 'colour'"),
+    ("\n#critdb K=4 family=P5\n", "line 2: unknown header key 'K'"),
 ])
 def test_parse_critdb_errors_name_the_line(text, message):
     with pytest.raises(ValueError) as info:
@@ -526,6 +531,41 @@ def test_certify_matches_the_reference_certify(k):
         assert out == reference_certify(g, k, db)
         shortcut += chroma._greedy(g).palette_size <= k
     assert shortcut > 100  # the shortcut answered many of them
+
+
+def colouring_searches(call) -> Counter:
+    """The colouring searches ``call()`` runs, per graph (by identity): the
+    top-level ``solve`` frames of ``is_k_colorable``, which a kept floor
+    skips."""
+    outer, searches = chroma.is_k_colorable.__code__, Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "solve" and frame.f_back.f_code is outer:
+            searches[id(frame.f_back.f_locals["g"])] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return searches
+
+
+def test_certify_decides_each_member_once_over_many_hosts():
+    db = parse_critdb(write_critdb(enumerate_critical(4, 7)))  # members not yet decided
+    hosts = [random_graph(n, 0.4, seed) for seed in range(40) for n in (9, 11)]
+    outs = []
+    searches = colouring_searches(lambda: outs.extend(certify_k_colorable(g, 3, db) for g in hosts))
+    assert outs == [reference_certify(g, 3, db) for g in hosts]
+    witnessed = Counter(out.member_index for out in outs if isinstance(out, CriticalWitness))
+    assert witnessed[0] > 1 and witnessed[1] > 1 and len(witnessed) > 3  # members re-found
+    for i, member in enumerate(db.member_graphs):
+        assert searches[id(member)] == (i in witnessed)
+    # the walk decided an enumerated database's members when it verified
+    # them, all but K4, whose clique settles its chromatic number
+    db = enumerate_critical(4, 7)
+    searches = colouring_searches(lambda: [certify_k_colorable(g, 3, db) for g in hosts])
+    assert [searches[id(member)] for member in db.member_graphs] == [1] + [0] * 8
 
 
 def test_a_greedy_colourable_host_certifies_with_no_budget(petersen):

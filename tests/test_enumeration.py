@@ -845,6 +845,19 @@ def test_p1_free_family_has_no_critical_graphs():
     assert enumerate_critical(1, 3, [parse_pattern("P1")]).members == ()
 
 
+def test_verify_critdb_reuses_no_answer_kept_on_a_member():
+    db = enumerate_critical(4, 7)
+    p4 = realize(path(4))
+    members, graphs_ = db.members[1:], db.member_graphs[1:]  # K4 aside, each holds a P4
+    for g in graphs_:
+        assert is_free(g, [path(4)])[0] is False
+        g.__dict__["_absent"] = (p4,)  # a false kept answer, which the package never makes
+        g.__dict__["_floor"] = 4
+    assert is_free(graphs_[0], [path(4)])[0] and chroma.is_k_colorable(graphs_[0], 4) is None
+    assert not verify_critdb(CriticalDb(4, (path(4),), members, graphs_))
+    assert verify_critdb(CriticalDb(4, (), members, graphs_))
+
+
 def test_verify_critdb_rejects_tampering():
     db = enumerate_critical(3, 7)
     # non-canonical relabeling of a member

@@ -300,25 +300,29 @@ def test_equal_graphs_hash_equal_and_pickle_without_their_hash():
     import copy
     import pickle
 
-    from critcolor.chroma import chromatic_number
+    from critcolor.chroma import chromatic_number, is_k_colorable
+    from critcolor.patterns import find_induced_subgraph
 
     for g in (P4, complete_graph(5), empty_graph(0), random_graph(9, 0.5, seed=3)):
         fresh = Graph(g.n, tuple(g.rows))
         assert fresh == g and fresh is not g
         assert hash(g) == hash(fresh) == hash(g) == hash((g.n, g.rows))
-        # the greedy colouring and maximum clique chroma keeps on a graph
-        # are no part of its value
+        # the greedy colouring, maximum clique, colourability floor and
+        # pattern absences kept on a graph are no part of its value
         kept = Graph(g.n, tuple(g.rows))
-        chromatic_number(kept)
-        assert {"_clique", "_greedy"} <= kept.__dict__.keys()
+        assert find_induced_subgraph(kept, complete_graph(g.n + 1)) is None
+        chi = chromatic_number(kept)[0]
+        is_k_colorable(kept, max(chi - 1, 0))
+        keys = {"_clique", "_greedy", "_absent"} | ({"_floor"} if chi > 1 else set())
+        assert keys <= kept.__dict__.keys()
         assert kept == g == fresh and hash(kept) == hash(fresh) and {kept: 1}[fresh] == 1
         for h in (g, kept):
             data = pickle.dumps(h)
             assert b"_hash" not in data  # a hash is only good in its own process
-            assert b"_clique" not in data and b"_greedy" not in data
+            assert not any(key.encode() in data for key in keys)
             for back in (pickle.loads(data), copy.copy(h), copy.deepcopy(h)):
                 assert back == g and hash(back) == hash(g) and {back: 1}[g] == 1
-                assert not {"_clique", "_greedy"} & back.__dict__.keys()
+                assert not keys & back.__dict__.keys()
 
 
 def test_random_graph_helper_is_deterministic():

@@ -269,6 +269,80 @@ def test_the_counter_has_no_second_way_in():
     assert names and not names & {"shared", "capped"}
 
 
+def instance_dict_writers(package_dir: Path) -> list[str]:
+    """The functions of the package, as ``module:qualified.name``, that can
+    write an object's instance dict: they take ``__dict__`` or ``vars()``
+    other than to read it (by ``.get`` or a subscript load), or call
+    ``setattr`` or ``__setattr__`` other than on ``self`` outside a class
+    named ``Graph``."""
+    writers = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+        def owners(node):
+            names = []
+            while node in parent:
+                node = parent[node]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.insert(0, node.name)
+            return names
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__" or (
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"):
+                up = parent[node]
+                writes = not (isinstance(up, ast.Subscript) and isinstance(up.ctx, ast.Load)
+                              or isinstance(up, ast.Attribute) and up.attr == "get")
+            elif isinstance(node, ast.Call) and "setattr" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", "").strip("_")):
+                on_self = node.args and getattr(node.args[0], "id", None) == "self"
+                writes = not on_self or owners(node)[:1] == ["Graph"]
+            else:
+                continue
+            if writes:
+                writers.add(f"{path.name}:{'.'.join(owners(node)) or '<module>'}")
+    return sorted(writers)
+
+
+def test_dict_guard_finds_every_way_to_write_an_instance_dict(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Graph:\n"
+        "    def __hash__(self):\n"
+        "        return self.__dict__.setdefault('_hash', 1)\n"
+        "    def peek(self):\n"
+        "        return self.__dict__.get('_hash'), self.__dict__['_hash'], vars(self)['n']\n"
+        "    def poke(self):\n"
+        "        object.__setattr__(self, 'n', 2)\n"
+        "class Spec:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, '_hash', 3)\n"
+        "def store(g):\n"
+        "    g.__dict__['_x'] = 1\n"
+        "def alias(g):\n"
+        "    kept = g.__dict__\n"
+        "    return kept\n"
+        "def drop(g):\n"
+        "    del vars(g)['_x']\n"
+        "def poke(g):\n"
+        "    setattr(g, 'x', 1)\n"
+        "def outer(g):\n"
+        "    def inner():\n"
+        "        g.__dict__.update(x=1)\n"
+        "    return inner\n"
+    )
+    assert instance_dict_writers(tmp_path) == [
+        "mod.py:Graph.__hash__", "mod.py:Graph.poke", "mod.py:alias", "mod.py:drop",
+        "mod.py:outer.inner", "mod.py:poke", "mod.py:store"]
+
+
+def test_only_the_hash_and_the_kept_values_write_a_graphs_dict():
+    # a value kept on a graph must be exact and uncapped (see chroma._clique)
+    assert instance_dict_writers(Path(critcolor.__file__).parent) == [
+        "chroma.py:_clique", "chroma.py:_greedy", "chroma.py:is_k_colorable",
+        "graphs.py:Graph.__hash__", "patterns.py:find_induced_subgraph"]
+
+
 def atom_kind_strings_outside_the_table(tree: ast.Module) -> list[str]:
     """String constants of a module that name an atom kind of its
     ``_ATOMS`` table, outside the table itself, the one-line constructors

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critcolor.chroma import BudgetExhausted, _Budget
+from critcolor.chroma import BudgetExhausted, _Budget, clique_number
 from critcolor.critical import CriticalDb, write_critdb
-from critcolor.graphs import complement, complete_graph, disjoint_union, empty_graph, from_edges, parse_graph6
+from critcolor.graphs import Graph, complement, complete_graph, disjoint_union, empty_graph, from_edges, parse_graph6
 from critcolor.patterns import (
     BULL,
     CHAIR,
@@ -43,6 +43,7 @@ from critcolor.patterns import (
 
 from conftest import graphs
 from oracles import naive_contains_induced, naive_embedding_is_induced, naive_is_isomorphic
+from test_chroma import nodes_spent
 
 C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -411,6 +412,42 @@ def test_embedding_is_induced_agrees_with_pairwise_check(host, pattern, data):
     candidates = [mapping] + _induced_copies(host, pattern)[:3]
     for image in candidates:
         assert embedding_is_induced(host, pattern, Embedding(image)) == naive_embedding_is_induced(host, pattern, image)
+
+
+def test_a_kept_absence_never_answers_a_capped_call():
+    k444 = from_edges(12, [(u, v) for v in range(12) for u in range(v) if u // 4 != v // 4])
+    k4 = realize(clique(4))
+    fresh = lambda: Graph(k444.n, k444.rows)  # noqa: E731
+    before = nodes_spent(lambda b: find_induced_subgraph(fresh(), k4, b))
+    assert before == 124
+    capped = fresh()
+    assert find_induced_subgraph(capped, k4, 10**6) is None and "_absent" not in capped.__dict__
+    kept = fresh()
+    assert find_induced_subgraph(kept, k4) is None and kept.__dict__["_absent"] == (k4,)
+    # a kept clique number below the pattern's answers too, and keeps nothing
+    bounded = fresh()
+    assert clique_number(bounded) == 3 and find_induced_subgraph(bounded, k4) is None
+    assert "_absent" not in bounded.__dict__
+    for h in (kept, bounded):
+        assert nodes_spent(lambda b: find_induced_subgraph(h, k4, b)) == before
+        with pytest.raises(BudgetExhausted):
+            find_induced_subgraph(h, k4, before - 1)
+    # a hit keeps nothing
+    assert find_induced_subgraph(kept, realize(path(3))) is not None
+    assert kept.__dict__["_absent"] == (k4,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9), graphs(max_n=5), st.booleans())
+def test_kept_absences_answer_as_a_fresh_search(host, pattern, clique_first):
+    kept = Graph(host.n, host.rows)
+    if clique_first:
+        clique_number(kept)
+    for p in (pattern, realize(clique(3)), realize(path(4)), pattern):
+        emb = find_induced_subgraph(kept, p)
+        assert emb == find_induced_subgraph(Graph(host.n, host.rows), p)
+        assert (emb is not None) == naive_contains_induced(host, p)
+    assert all(not naive_contains_induced(host, p) for p in kept.__dict__.get("_absent", ()))
 
 
 def test_empty_pattern_has_one_copy():

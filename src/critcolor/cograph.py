@@ -62,14 +62,19 @@ def cotree_leaves(t: Cotree) -> list[int]:
     return out
 
 
+def _leaf_count(t: Cotree) -> int:
+    """The number n of leaves; a ValueError unless their ids are exactly 0..n-1."""
+    leaves = sorted(cotree_leaves(t))
+    if leaves != list(range(len(leaves))):
+        raise ValueError("cotree leaves must be 0..n-1 without repeats")
+    return len(leaves)
+
+
 def realize_cotree(t: Cotree) -> Graph:
     """The graph a cotree describes.  A ValueError unless the leaf ids are
     exactly 0..n-1, every internal node has at least two children, and
     unions and joins alternate."""
-    leaves = sorted(cotree_leaves(t))
-    n = len(leaves)
-    if leaves != list(range(n)):
-        raise ValueError("cotree leaves must be 0..n-1 without repeats")
+    n = _leaf_count(t)
     rows = [0] * n
 
     def walk(node: Cotree) -> int:
@@ -94,18 +99,18 @@ def realize_cotree(t: Cotree) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _find_twins(g: Graph, active: list[int], amask: int) -> Optional[tuple[bool, int, int]]:
-    """Lexicographically first twin pair among the active vertices.
+def _find_twins(g: Graph, active: int) -> Optional[tuple[bool, int, int]]:
+    """Lexicographically first twin pair in the subgraph on the mask ``active``.
 
     Returns (is_false_twin, u, v) with u < v.  False twins win over true
     twins even when a true pair comes earlier in the scan.
     """
     first_true: Optional[tuple[int, int]] = None
     rows = g.rows
-    for i, u in enumerate(active):
-        nu = rows[u] & amask
-        for v in active[i + 1:]:
-            nv = rows[v] & amask
+    for u in iter_bits(active):
+        nu = rows[u] & active
+        for v in iter_bits(active & -(2 << u)):  # the active vertices above u
+            nv = rows[v] & active
             if nu == nv:
                 return True, u, v
             if first_true is None and nu | 1 << u == nv | 1 << v:
@@ -115,22 +120,19 @@ def _find_twins(g: Graph, active: list[int], amask: int) -> Optional[tuple[bool,
     return None
 
 
-def _eliminations(g: Graph) -> Optional[list[tuple[bool, int, int]]]:
-    """The twin elimination: the first twin pair (u, v) of the active
-    vertices, as ``_find_twins`` returns it, drops v, until one vertex is
+def _eliminations(g: Graph, active: int) -> Optional[list[tuple[bool, int, int]]]:
+    """The twin elimination on the mask ``active``: the first twin pair
+    (u, v), as ``_find_twins`` returns it, drops v, until one vertex is
     left.  The steps in order, or None if it stalls on an induced P4."""
-    if g.n == 0:
+    if not active:
         raise ValueError("the empty graph has no cotree")
     steps = []
-    active = list(range(g.n))
-    amask = (1 << g.n) - 1
-    while len(active) > 1:
-        hit = _find_twins(g, active, amask)
+    while active & (active - 1):
+        hit = _find_twins(g, active)
         if hit is None:
             return None
         steps.append(hit)
-        active.remove(hit[2])
-        amask &= ~(1 << hit[2])
+        active &= ~(1 << hit[2])
     return steps
 
 
@@ -140,40 +142,43 @@ def _merge(node_type: type, a: Cotree, b: Cotree) -> Cotree:
     return node_type(left + right)
 
 
-def recognize(g: Graph) -> Optional[Cotree]:
-    """A cotree for g, or None if g has an induced four-vertex path."""
-    steps = _eliminations(g)
+def recognize(g: Graph, within: Optional[int] = None) -> Optional[Cotree]:
+    """A cotree for g, or for its subgraph on the vertex mask ``within`` with
+    the vertices as leaves; None if that has an induced four-vertex path."""
+    active = (1 << g.n) - 1 if within is None else within
+    steps = _eliminations(g, active)
     if steps is None:
         return None
-    trees: dict[int, Cotree] = {v: Leaf(v) for v in range(g.n)}
+    trees: dict[int, Cotree] = {v: Leaf(v) for v in iter_bits(active)}
     for false_twin, u, v in steps:
         trees[u] = _merge(UnionNode if false_twin else JoinNode, trees[u], trees.pop(v))
     return trees.popitem()[1]
 
 
-def cograph_color(t: Cotree) -> Coloring:
-    """Optimal colouring straight off the cotree.
+def _paint(node: Cotree, assignment: list[int], offset: int = 0) -> int:
+    """Colour a cotree's leaves optimally, writing colour offset + c
+    (c = 1, 2, ...) at each leaf's vertex; returns the palette size.
 
     Unions reuse one shared palette (max over children); joins stack the
     children's palettes side by side (sum).  The palette size that falls out
     equals the clique number, which for these graphs is the chromatic number.
     """
-    n = len(cotree_leaves(t))
-    assignment = [0] * n
+    if isinstance(node, Leaf):
+        assignment[node.vertex] = offset + 1
+        return 1
+    if isinstance(node, UnionNode):
+        return max(_paint(c, assignment, offset) for c in node.children)
+    width = 0
+    for c in node.children:
+        width += _paint(c, assignment, offset + width)
+    return width
 
-    def walk(node: Cotree, offset: int) -> int:
-        if isinstance(node, Leaf):
-            assignment[node.vertex] = offset + 1
-            return 1
-        if isinstance(node, UnionNode):
-            return max(walk(c, offset) for c in node.children)
-        width = 0
-        for c in node.children:
-            width += walk(c, offset + width)
-        return width
 
-    palette = walk(t, 0)
-    return Coloring(palette, tuple(assignment))
+def cograph_color(t: Cotree) -> Coloring:
+    """Optimal colouring straight off the cotree (see ``_paint``).  A
+    ValueError unless the leaf ids are exactly 0..n-1."""
+    assignment = [0] * _leaf_count(t)
+    return Coloring(_paint(t, assignment), tuple(assignment))
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ def find_anticomplete_pair(g: Graph) -> AnticompletePair:
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
-    steps = _eliminations(g)
+    steps = _eliminations(g, (1 << g.n) - 1)
     if steps is None:
         raise NotCographError("graph has an induced four-vertex path")
     if g.edge_count() == g.n * (g.n - 1) // 2:

@@ -9,7 +9,9 @@ block extends by its S-vertex, so each block drops one clique size and is
 coloured recursively on a private palette slice.  Whatever is left over is
 anticomplete to S; it contains no induced four-vertex path (one would join
 with S to form the forbidden pattern), so it is coloured optimally via its
-cotree, reusing S's colour for one of its classes.
+cotree, reusing S's colour for one of its classes.  The recursion runs on
+vertex masks of the input graph, writing into one assignment; it builds no
+subgraphs.
 
 bound_f(k, ell) is the palette this yields, and the recursion telescopes to
 the closed form ell^(k-2) + 2*ell^(k-3) + ... + (k-2)*ell + (k-1).
@@ -18,8 +20,8 @@ the closed form ell^(k-2) + 2*ell^(k-3) + ... + (k-2)*ell + (k-1).
 from __future__ import annotations
 
 from .chroma import Coloring, is_proper_coloring
-from .cograph import cograph_color, recognize
-from .graphs import Graph, induced_subgraph, iter_bits, mask_of, set_neighborhood_mask
+from .cograph import _paint, recognize
+from .graphs import Graph, _check_vertices, iter_bits, mask_of
 from .patterns import PatternViolation, clique, format_pattern, is_free, path, plus_isolated
 
 
@@ -37,33 +39,43 @@ def _family(ell: int, k: int) -> list:
     return [base, clique(k)]
 
 
+def _greedy(rows: tuple[int, ...], free: int, ell: int) -> tuple[list[int], int]:
+    """The least-indexed greedy independent set of the vertices of the mask
+    ``free``, stopping at ell vertices, and the vertices of ``free`` outside
+    its closed neighbourhood, as a mask."""
+    chosen: list[int] = []
+    while free and len(chosen) < ell:
+        low = free & -free
+        chosen.append(low.bit_length() - 1)
+        free &= ~(rows[chosen[-1]] | low)
+    return chosen, free
+
+
+def _blocks(rows: tuple[int, ...], s: list[int], within: int) -> list[int]:
+    """The blocks of N[S] \\ S inside the mask ``within``, as masks: block i
+    holds the vertices adjacent to s[i] but to no earlier member of S."""
+    claimed = mask_of(s)
+    blocks = []
+    for v in s:
+        blocks.append(rows[v] & within & ~claimed)
+        claimed |= rows[v]
+    return blocks
+
+
 def greedy_independent_set(g: Graph, ell: int) -> list[int]:
     """Least-indexed greedy independent set, stopping at ell vertices.
     When the greedy run stops short of ell the set is inclusion-maximal."""
     if ell < 0:
         raise ValueError(f"ell must be nonnegative, got {ell}")
-    chosen: list[int] = []
-    blocked = 0
-    for v in range(g.n):
-        if len(chosen) == ell:
-            break
-        if blocked >> v & 1:
-            continue
-        chosen.append(v)
-        blocked |= g.rows[v] | 1 << v
-    return chosen
+    return _greedy(g.rows, (1 << g.n) - 1, ell)[0]
 
 
 def closed_neighborhood_partition(g: Graph, s: list[int]) -> list[list[int]]:
     """Split N[S] \\ S into blocks: block i holds the vertices adjacent to
     s[i] but to no earlier member of S.  Together with S the blocks tile
     N[S]; the blocks are pairwise disjoint by construction."""
-    claimed = mask_of(s)
-    blocks: list[list[int]] = []
-    for v in s:
-        blocks.append(list(iter_bits(g.rows[v] & ~claimed)))
-        claimed |= g.rows[v]
-    return blocks
+    _check_vertices(g, s)
+    return [list(iter_bits(block)) for block in _blocks(g.rows, s, (1 << g.n) - 1)]
 
 
 def _compact(assignment: list[int]) -> Coloring:
@@ -73,45 +85,34 @@ def _compact(assignment: list[int]) -> Coloring:
     return Coloring(len(used), tuple(remap[c] for c in assignment))
 
 
-def _cotree_palette(g: Graph, verts: list[int]) -> list[int]:
-    """Optimal colouring (1-based) of an induced P4-free remainder; a
-    ValueError if the remainder has an induced P4."""
-    sub = induced_subgraph(g, verts)
-    tree = recognize(sub)
-    if tree is None:
-        raise ValueError("leaves a remainder with an induced P4")
-    return list(cograph_color(tree).assignment)
-
-
 def _color_bounded(g: Graph, ell: int, k: int) -> list[int]:
     """Colour assignment for a graph assumed (P4+ell*P1, K_k)-free."""
-    if g.n == 0:
-        return []
-    s = greedy_independent_set(g, ell)
-    blocks = closed_neighborhood_partition(g, s)
     assignment = [0] * g.n
-    for v in s:
-        assignment[v] = 1
-    if k == 3:
-        # triangle-free: each block is independent and takes a single colour
-        for i, block in enumerate(blocks):
-            for v in block:
-                assignment[v] = 2 + i
-        tail = 1 + len(s)
-    else:
-        width = bound_f(k - 1, ell)
-        for i, block in enumerate(blocks):
-            sub_assign = _color_bounded(induced_subgraph(g, block), ell, k - 1)
-            offset = 1 + i * width
-            for j, v in enumerate(block):
-                assignment[v] = offset + sub_assign[j]
+
+    def colour(within: int, k: int, base: int) -> None:
+        # colours c = 1, 2, ... of the subgraph on within go in as base + c
+        s, remainder = _greedy(g.rows, within, ell)
+        for v in s:
+            assignment[v] = base + 1
+        width = bound_f(k - 1, ell) if k > 3 else 1
+        for i, block in enumerate(_blocks(g.rows, s, within)):
+            if k == 3:  # triangle-free: each block is independent and takes a single colour
+                for v in iter_bits(block):
+                    assignment[v] = base + 2 + i
+            elif block:
+                colour(block, k - 1, base + 1 + i * width)
         tail = 1 + len(s) * width
-    smask = mask_of(s)  # the blocks and S tile N[S]; the remainder is the rest
-    remainder = list(iter_bits((1 << g.n) - 1 & ~(smask | set_neighborhood_mask(g, smask))))
-    if remainder:
-        # anticomplete to S, so its first colour class can reuse colour 1
-        for v, c in zip(remainder, _cotree_palette(g, remainder)):
-            assignment[v] = 1 if c == 1 else tail + c - 1
+        if remainder:
+            tree = recognize(g, remainder)
+            if tree is None:
+                raise ValueError("leaves a remainder with an induced P4")
+            # anticomplete to S, so its first colour class can reuse colour 1
+            _paint(tree, assignment, base + tail - 1)
+            for v in iter_bits(remainder):
+                if assignment[v] == base + tail:
+                    assignment[v] = base + 1
+
+    colour((1 << g.n) - 1, k, 0)
     return assignment
 
 
@@ -132,7 +133,7 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
             raise PatternViolation(hit[0], hit[1])
     try:
         col = _compact(_color_bounded(g, ell, k))
-    except ValueError as exc:  # _cotree_palette met an induced P4, the one raise in there
+    except ValueError as exc:  # a remainder with an induced P4, the one raise in there
         problem = str(exc)
     else:
         if not is_proper_coloring(g, col):

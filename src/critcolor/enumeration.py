@@ -82,7 +82,7 @@ from .graphs import (
     parse_graph6,
     without_vertex,
 )
-from .patterns import PatternSpec, _induced_copies, is_free, realize
+from .patterns import PatternSpec, _induced_copies, _pattern_order, is_free, realize
 # bound here for the benchmark's tracer tests, which wrap and restore it
 from .patterns import find_induced_subgraph  # noqa: F401
 
@@ -135,14 +135,16 @@ def _attach(parent: Graph, nb: int) -> Graph:
     return Graph(n + 1, tuple(rows))
 
 
-def _trace_patterns(filter_graphs: list[Graph], n_max: int) -> list[tuple[Graph, int]]:
+def _trace_patterns(family: Sequence[PatternSpec], n_max: int) -> list[tuple[Graph, int]]:
     """For each family graph F and each vertex p of F, one per orbit of the
     automorphisms found by F's canonical labelling: F - p and the mask of
-    p's neighbours in it.  A graph larger than n_max can never embed."""
+    p's neighbours in it.  A graph larger than n_max can never embed, and
+    is not realized: it may have more vertices than a graph may."""
     out = []
-    for f in filter_graphs:
-        if f.n > n_max:
+    for spec in family:
+        if _pattern_order(spec) > n_max:
             continue
+        f = realize(spec)
         gens = _canonical_labeling(f)[2]
         for p in range(f.n):
             if not _orbit(p, gens) & ((1 << p) - 1):
@@ -205,7 +207,7 @@ def _walk(
     children, keyed by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
-    trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
+    trace_patterns = _trace_patterns(family, n_max)
     parents, parent_gens = [Graph(0, ())], [()]
     for n in range(1, n_max + 1):
         # canonical bit-string -> generators in canonical order (none at n_max)

@@ -12,37 +12,39 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _clique, _counter
 from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
 
 
-def _broom(n: int, m: int) -> tuple[int, list[tuple[int, int]]]:
+def _broom(n: int, m: int) -> tuple[int, Iterable[tuple[int, int]]]:
     # handle 0..n-1 is a path; bristles n..n+m-1 hang off vertex n-1
-    return n + m, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n + j) for j in range(m)]
+    return n + m, chain(((i, i + 1) for i in range(n - 1)), ((n - 1, n + j) for j in range(m)))
 
 
-def _broomplus(m: int, _: int) -> tuple[int, list[tuple[int, int]]]:
+def _broomplus(m: int, _: int) -> tuple[int, Iterable[tuple[int, int]]]:
     # a triangle 1,2,3 with a pendant at 1; bristles hang off vertex 2
-    return 4 + m, [(0, 1), (1, 2), (1, 3), (2, 3)] + [(2, 4 + j) for j in range(m)]
+    return 4 + m, chain([(0, 1), (1, 2), (1, 3), (2, 3)], ((2, 4 + j) for j in range(m)))
 
 
 # The atom kinds.  Each has its text, with "{}" for each integer parameter
 # (a, then b); the least value of each parameter, and the rule that states
 # them in an error; and the builder of its labelled graph, (a, b) ->
-# (order, edges).  Embeddings, forbidden traces and canonical forms all
-# follow these labels, so they must never change.
+# (order, edges), the edges made only as they are read, so that the order
+# of a pattern too large to realize costs nothing.  Embeddings, forbidden
+# traces and canonical forms all follow these labels, so they must never
+# change.
 _ATOMS = {
     "path": ("P{}", (1,), "needs at least one vertex, got {}",
-             lambda n, _: (n, [(i, i + 1) for i in range(n - 1)])),
+             lambda n, _: (n, ((i, i + 1) for i in range(n - 1)))),
     "clique": ("K{}", (1,), "needs at least one vertex, got {}",
-               lambda n, _: (n, [(u, v) for v in range(n) for u in range(v)])),
+               lambda n, _: (n, ((u, v) for v in range(n) for u in range(v)))),
     "star": ("star({})", (0,), "needs >= 0 leaves, got {}",
-             lambda m, _: (m + 1, [(0, i) for i in range(1, m + 1)])),
+             lambda m, _: (m + 1, ((0, i) for i in range(1, m + 1)))),
     "cycle": ("C{}", (3,), "needs length >= 3, got {}",
-              lambda n, _: (n, [(i, (i + 1) % n) for i in range(n)])),
+              lambda n, _: (n, ((i, (i + 1) % n) for i in range(n)))),
     "broom": ("broom({},{})", (2, 0), "needs handle >= 2 and >= 0 bristles, got ({},{})", _broom),
     "broomplus": ("broomplus({})", (0,), "needs >= 0 bristles, got {}", _broomplus),
     "chair": ("chair", (), "", lambda *_: _broom(3, 2)),
@@ -141,6 +143,15 @@ BULL = PatternSpec("bull")
 CRICKET = PatternSpec("cricket")
 GEM = PatternSpec("gem")
 TWO_P2 = union(path(2), path(2))
+
+
+@lru_cache(maxsize=None)
+def _pattern_order(spec: PatternSpec) -> int:
+    """The vertex count of a spec's graph, without building the graph, so
+    it holds for a spec too large to realize."""
+    if spec.kind == "union":
+        return sum(map(_pattern_order, spec.parts))
+    return _ATOMS[spec.kind][3](spec.a, spec.b)[0]
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +381,10 @@ def find_induced_subgraph(
 def find_induced(
     host: Graph, spec: PatternSpec, budget: Optional[int | _Budget] = None
 ) -> Optional[Embedding]:
-    """First induced copy of the pattern named by a spec, or None."""
+    """First induced copy of the pattern named by a spec, or None; None at
+    once, with no search, for a pattern with more vertices than the host."""
+    if _pattern_order(spec) > host.n:
+        return None
     return find_induced_subgraph(host, realize(spec), budget)
 
 

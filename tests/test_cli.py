@@ -62,6 +62,16 @@ def test_color_and_bound(capsys):
     assert capsys.readouterr().out.strip() == "6"
 
 
+def test_patterns_above_the_vertex_cap_are_absent_not_errors(capsys):
+    # P4+509P1 has 513 vertices, one more than a graph may have: C5 avoids it
+    assert run(["color", "--ell", "509", "--clique", "3", C5]) == 0
+    assert capsys.readouterr().out.startswith("palette=3 bound=511")
+    assert run(["free", "-p", "P4+600P1", C5]) == 0
+    assert capsys.readouterr().out.strip() == "free"
+    assert run(["enumerate", "--n", "4", "--free", "P4+600P1"]) == 0
+    assert len(capsys.readouterr().out.split()) == 11  # every graph on 4 vertices
+
+
 def test_color_no_verify_outside_the_family_exits_2(capsys):
     assert run(["color", "--ell", "1", "--no-verify", "C~"]) == 2  # K4
     captured = capsys.readouterr()

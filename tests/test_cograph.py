@@ -1,5 +1,8 @@
+import re
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critcolor.chroma import clique_number, is_proper_coloring
 from critcolor.cograph import (
@@ -10,7 +13,6 @@ from critcolor.cograph import (
     NotCographError,
     NotConnectedError,
     UnionNode,
-    _find_twins,
     cograph_color,
     cotree_leaves,
     find_anticomplete_pair,
@@ -21,6 +23,7 @@ from critcolor.cograph import (
 from critcolor.enumeration import enumerate_graphs
 from critcolor.graphs import (
     bits_of,
+    induced_subgraph,
     complete_graph,
     empty_graph,
     from_edges,
@@ -125,6 +128,28 @@ def test_cograph_coloring_is_optimal(g):
     assert col.palette_size == clique_number(g)
 
 
+def test_cograph_color_rejects_leaf_ids_outside_0_to_n_minus_1():
+    for t in (UnionNode((Leaf(0), Leaf(5))), JoinNode((Leaf(1), Leaf(1))), Leaf(-1)):
+        with pytest.raises(ValueError, match=r"cotree leaves must be 0\.\.n-1"):
+            cograph_color(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10, min_n=1), st.integers(1, (1 << 10) - 1))
+def test_recognition_on_a_mask_is_recognition_of_the_subgraph(g, mask):
+    # the subgraph relabels its vertices in ascending order, which the twin scan keeps
+    mask &= (1 << g.n) - 1
+    if not mask:
+        return
+    verts = sorted(bits_of(mask))
+    tree = recognize(induced_subgraph(g, verts))
+    on_mask = recognize(g, mask)
+    assert (on_mask is None) == (tree is None)
+    if tree is not None:
+        relabel = {str(v): str(i) for i, v in enumerate(verts)}
+        assert re.sub(r"\d+", lambda m: relabel[m.group()], render_cotree(on_mask)) == render_cotree(tree)
+
+
 # ---------------------------------------------------------------------------
 # anticomplete pairs
 # ---------------------------------------------------------------------------
@@ -179,8 +204,25 @@ def test_pair_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # the twin elimination against the code it replaced, which ran it once in
-# recognize and again in find_anticomplete_pair
+# recognize and again in find_anticomplete_pair, with a twin scan over a
+# list of the active vertices
 # ---------------------------------------------------------------------------
+
+
+def _find_twins(g, active, amask):
+    first_true = None
+    rows = g.rows
+    for i, u in enumerate(active):
+        nu = rows[u] & amask
+        for v in active[i + 1:]:
+            nv = rows[v] & amask
+            if nu == nv:
+                return True, u, v
+            if first_true is None and nu | 1 << u == nv | 1 << v:
+                first_true = (u, v)
+    if first_true is not None:
+        return False, first_true[0], first_true[1]
+    return None
 
 
 def reference_recognize(g):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critcolor import construct, graphs as graphs_module
 from critcolor.chroma import chromatic_number, is_proper_coloring
 from critcolor.cograph import cograph_color, recognize
 from critcolor.construct import (
@@ -18,7 +19,9 @@ from critcolor.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     is_independent,
+    iter_bits,
     mask_of,
     set_neighborhood_mask,
 )
@@ -85,6 +88,12 @@ def test_greedy_independent_set_stops_at_ell_vertices_even_at_zero():
     assert greedy_independent_set(C5, 1) == [0]
     with pytest.raises(ValueError, match="ell must be nonnegative"):
         greedy_independent_set(C5, -1)
+
+
+def test_neighborhood_partition_rejects_vertices_outside_the_graph():
+    for s in ([7], [-1], [0, 5]):
+        with pytest.raises(ValueError, match="vertex outside graph"):
+            closed_neighborhood_partition(C5, s)
 
 
 def test_neighborhood_partition_first_claim_rule():
@@ -199,3 +208,86 @@ def test_k4_free_family_stays_within_bound():
         col = color_kk_free(g, 1, 4, check=False)
         assert is_proper_coloring(g, col)
         assert col.palette_size <= bound_f(4, 1)
+
+
+# ---------------------------------------------------------------------------
+# the recursion on vertex masks against the one it replaced, which copied
+# every block and remainder into a subgraph of its own
+# ---------------------------------------------------------------------------
+
+
+def reference_cotree_palette(g, verts):
+    sub = induced_subgraph(g, verts)
+    tree = recognize(sub)
+    if tree is None:
+        raise ValueError("leaves a remainder with an induced P4")
+    return list(cograph_color(tree).assignment)
+
+
+def reference_color_bounded(g, ell, k):
+    if g.n == 0:
+        return []
+    s = greedy_independent_set(g, ell)
+    blocks = closed_neighborhood_partition(g, s)
+    assignment = [0] * g.n
+    for v in s:
+        assignment[v] = 1
+    if k == 3:
+        for i, block in enumerate(blocks):
+            for v in block:
+                assignment[v] = 2 + i
+        tail = 1 + len(s)
+    else:
+        width = bound_f(k - 1, ell)
+        for i, block in enumerate(blocks):
+            sub_assign = reference_color_bounded(induced_subgraph(g, block), ell, k - 1)
+            offset = 1 + i * width
+            for j, v in enumerate(block):
+                assignment[v] = offset + sub_assign[j]
+        tail = 1 + len(s) * width
+    smask = mask_of(s)
+    remainder = list(iter_bits((1 << g.n) - 1 & ~(smask | set_neighborhood_mask(g, smask))))
+    if remainder:
+        for v, c in zip(remainder, reference_cotree_palette(g, remainder)):
+            assignment[v] = 1 if c == 1 else tail + c - 1
+    return assignment
+
+
+def unchecked_outcome(g, ell, k):
+    """color_kk_free(g, ell, k, check=False): its colouring or its ValueError text."""
+    try:
+        return color_kk_free(g, ell, k, check=False)
+    except ValueError as exc:
+        return str(exc)
+
+
+def outcomes_of_both(cases):
+    """The unchecked outcomes with the reference recursion, then with the package's."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(construct, "_color_bounded", reference_color_bounded)
+        want = [unchecked_outcome(*case) for case in cases]
+    return want, [unchecked_outcome(*case) for case in cases]
+
+
+def test_colourings_equal_the_reference_on_every_graph_up_to_7():
+    cases = [(g, ell, k) for g in enumerate_up_to(7) for ell in range(4) for k in range(3, 6)]
+    want, got = outcomes_of_both(cases)
+    assert got == want
+    assert len(got) == 15024 and sum(isinstance(o, str) for o in got) == 6925
+
+
+@settings(max_examples=150)
+@given(graphs(max_n=12), st.integers(0, 4), st.integers(3, 6))
+def test_colourings_equal_the_reference(g, ell, k):
+    want, got = outcomes_of_both([(g, ell, k)])
+    assert got == want
+
+
+def test_color_kk_free_builds_no_graph(monkeypatch):
+    cases = [(g, ell, k) for g in enumerate_up_to(6) for ell in range(3) for k in (3, 4)]
+    built = []
+    init = graphs_module.Graph.__init__
+    monkeypatch.setattr(graphs_module.Graph, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for case in cases:
+        unchecked_outcome(*case)
+    assert built == []

@@ -429,7 +429,7 @@ def test_pruned_enumeration_equals_post_filtering(family, all_graphs_up_to_6):
 def test_forbidden_traces_reject_exactly_the_children_containing_the_family(family):
     # every mask of the table, not only the orbit representatives the walk reads
     specs = [parse_pattern(t) for t in family]
-    trace_patterns = _trace_patterns([realize(s) for s in specs], 7)
+    trace_patterns = _trace_patterns(specs, 7)
     rejected = 0
     for parent in [Graph(0, ())] + list(enumerate_up_to(6, filters=specs)):
         table = _forbidden_traces(parent, trace_patterns)
@@ -441,8 +441,9 @@ def test_forbidden_traces_reject_exactly_the_children_containing_the_family(fami
 
 
 def test_trace_patterns_skip_graphs_too_large_to_embed():
-    assert _trace_patterns([realize(path(6))], 5) == []
-    assert len(_trace_patterns([realize(path(6))], 6)) == 3  # one vertex per orbit
+    assert _trace_patterns([path(6)], 5) == []
+    assert len(_trace_patterns([path(6)], 6)) == 3  # one vertex per orbit
+    assert _trace_patterns([union(path(4), *[path(1)] * 600)], 10) == []  # above the vertex cap
 
 
 @pytest.fixture(scope="module")
@@ -626,7 +627,7 @@ def reference_walk(n_max, family, classify):
     the table first, and each one that passes is classified and
     canonicalised.  ``classify`` is applied as given, so the minimum-degree
     rule of the critical classifier is in both walks."""
-    trace_patterns = _trace_patterns([realize(f) for f in family], n_max)
+    trace_patterns = _trace_patterns(family, n_max)
     parents = [Graph(0, ())]
     for n in range(1, n_max + 1):
         extended, emitted = {}, set()
@@ -777,6 +778,12 @@ def test_three_critical_graphs_are_the_odd_cycles():
 def test_critical_cographs_are_cliques():
     db = enumerate_critical(4, 8, [path(4)])
     assert list(db.members) == [canonical_form(complete_graph(4))]
+
+
+def test_family_members_above_the_vertex_cap_are_skipped():
+    big = union(path(4), *[path(1)] * 600)
+    assert enumerate_critical(3, 7, [big]).members == enumerate_critical(3, 7).members
+    assert list(enumerate_up_to(5, [big, path(4)])) == list(enumerate_up_to(5, [path(4)]))
 
 
 def test_two_critical_is_a_single_edge():

@@ -24,6 +24,7 @@ from critcolor.patterns import (
     _ATOMS,
     _compile_pattern,
     _induced_copies,
+    _pattern_order,
     broom,
     broomplus,
     clique,
@@ -171,7 +172,7 @@ def test_every_atom_formats_parses_and_realizes(kind, params, build):
     assert parse_pattern(text.upper()) == spec == parse_pattern(text.lower())
     order, edges = build(*params, *[0] * (2 - len(params)))
     g = realize(spec)
-    assert (g.n, len(list(g.edges()))) == (order, len(edges))
+    assert (g.n, len(list(g.edges()))) == (order, len(list(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +330,25 @@ def test_find_induced_basics():
     assert find_induced(C7, plus_isolated(path(4), 1)) is not None
     assert find_induced(complete_graph(4), clique(4)).mapping == (0, 1, 2, 3)
     assert find_induced(complete_graph(4), path(3)) is None
+
+
+def test_a_pattern_above_the_vertex_cap_is_absent_without_a_search():
+    # P4+600P1 and K600 are too large to realize, and larger than any host
+    counter = _Budget(5)
+    assert find_induced(C5, plus_isolated(path(4), 600), counter) is None
+    assert find_induced(C5, clique(600), counter) is None
+    assert counter.left == 5
+    assert is_free(C5, [plus_isolated(path(4), 600), clique(600)]) == (True, None)
+    with pytest.raises(ValueError, match="exceeds cap 512"):
+        realize(plus_isolated(path(4), 600))
+
+
+def test_sizing_a_pattern_builds_none_of_it():
+    huge = 10**9
+    sizes = {clique(huge): huge, cycle(huge): huge, star(huge): huge + 1, broom(huge, huge): 2 * huge,
+             broomplus(huge): huge + 4, plus_isolated(path(huge), 3): huge + 3}
+    assert {spec: _pattern_order(spec) for spec in sizes} == sizes
+    assert find_induced(C5, clique(huge)) is None
 
 
 def test_find_induced_is_deterministic():

@@ -2,7 +2,7 @@
 
 The package is organised around an immutable bitmask ``Graph``:
 
-``graphs``       graph6 parsing/serialisation and set-level adjacency queries
+``graphs``       graph6 parsing, writing and line reading; set-level adjacency queries
 ``patterns``     induced-subgraph search and forbidden-family tests
 ``chroma``       exact clique and chromatic numbers, k-colourability decisions
 ``cograph``      cotree recognition, colouring, anticomplete pair extraction
@@ -66,7 +66,6 @@ from .enumeration import (
     enumerate_critical,
     enumerate_graphs,
     enumerate_up_to,
-    ingest_graph6_stream,
     verify_critdb,
 )
 from .graphs import (
@@ -80,6 +79,7 @@ from .graphs import (
     from_edges,
     from_rows,
     induced_subgraph,
+    ingest_graph6_stream,
     is_anticomplete_between,
     is_complete_between,
     is_connected,

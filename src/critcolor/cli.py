@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Every subcommand takes a graph as a trailing graph6 argument, or ``-`` to
-read one graph per line from standard input (results come back in input
-order).  Exit codes follow one convention: 0 for the affirmative outcome,
-1 for the negative one (pattern found, not k-colourable, not critical,
-precondition failed for cotree/pair), 2 for usage errors, malformed input
-and violated preconditions elsewhere.  ``--json`` swaps the human output
-for one structured document per invocation.
+Every subcommand but ``bound`` and ``enumerate`` takes a graph as a trailing
+graph6 argument, or ``-`` to read one graph per line from standard input
+(results come back in input order).  Exit codes follow one convention: 0 for
+the affirmative outcome, 1 for the negative one (pattern found, not
+k-colourable, not critical, precondition failed for cotree/pair), 2 for usage
+errors, malformed input and violated preconditions elsewhere.  ``--json``
+swaps the human output for one structured document per invocation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import chroma, construct, critical, enumeration
 from .cograph import (
@@ -24,7 +24,7 @@ from .cograph import (
     recognize,
     render_cotree,
 )
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import Graph, ingest_graph6_stream, parse_graph6, to_graph6
 from .patterns import format_pattern, is_free, parse_pattern
 
 
@@ -51,34 +51,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("free", parents=[common], help="test forbidden patterns")
+    p.set_defaults(run=_cmd_free)
     p.add_argument("--pattern", "-p", action="append", required=True, metavar="SPEC")
     p.add_argument("graph")
 
     p = sub.add_parser("chi", parents=[common, budget], help="chromatic number")
+    p.set_defaults(run=_cmd_chi)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("graph")
 
     p = sub.add_parser("critical", parents=[common, budget], help="criticality report")
+    p.set_defaults(run=_cmd_critical)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("graph")
 
     p = sub.add_parser("cotree", parents=[common], help="cotree decomposition")
+    p.set_defaults(run=_cmd_cotree)
     p.add_argument("graph")
 
     p = sub.add_parser("pair", parents=[common], help="anticomplete pair with shared neighbourhood")
+    p.set_defaults(run=_cmd_pair)
     p.add_argument("graph")
 
     p = sub.add_parser("color", parents=[common], help="bounded-palette colouring")
+    p.set_defaults(run=_cmd_color)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--clique", type=int, default=3, metavar="K")
     p.add_argument("--no-verify", action="store_true", help="skip the family precondition check")
     p.add_argument("graph")
 
     p = sub.add_parser("bound", parents=[common], help="palette bound value")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("enumerate", parents=[common], help="isomorphism-free enumeration")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--free", action="append", default=[], metavar="SPEC")
     p.add_argument("--critical", type=int, default=None, metavar="K")
@@ -86,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default=None, metavar="PATH")
 
     p = sub.add_parser("certify", parents=[common, budget], help="certified k-colourability")
+    p.set_defaults(run=_cmd_certify)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--db", required=True, metavar="PATH")
     p.add_argument("graph")
@@ -169,8 +178,8 @@ def _cmd_color(args, g: Graph):
                         f"colouring={_fmt_assignment(col)}")
 
 
-def _cmd_certify(args, g: Graph, db: critical.CriticalDb):
-    result = critical.certify_k_colorable(g, args.k, db, args.budget)
+def _cmd_certify(args, g: Graph):
+    result = critical.certify_k_colorable(g, args.k, args.db, args.budget)
     if isinstance(result, chroma.Coloring):
         return 0, {"colorable": True, **_coloring_payload(result)}, \
             f"{args.k}-colourable colouring={_fmt_assignment(result)}"
@@ -184,97 +193,56 @@ def _cmd_certify(args, g: Graph, db: critical.CriticalDb):
     return 1, payload, f"witness {result.pattern_graph6} at {where}"
 
 
-def _run_enumerate(args) -> tuple[int, dict, list[str]]:
+def _cmd_bound(args):
+    value = construct.bound_f(args.k, args.ell)
+    return 0, {"bound": value}, str(value)
+
+
+def _cmd_enumerate(args):
     filters = [parse_pattern(t) for t in args.free]
     if args.db and args.critical is None:
         raise ValueError("--db writes a critical-graph database and needs --critical K")
-    if args.critical is not None:
+    if args.critical is None:
+        texts = [to_graph6(g) for g in enumeration.enumerate_graphs(args.n, filters, args.connected)]
+    else:
         db = enumeration.enumerate_critical(args.critical, args.n, filters)
         texts = list(db.members)  # critical members are connected already
         if args.db:
             critical.save_critdb(db, args.db)
-        payload = {"count": len(texts), "graphs": texts}
-        if args.db:
-            payload["db"] = args.db
-        return 0, payload, texts
-    graphs = [to_graph6(g) for g in enumeration.enumerate_graphs(args.n, filters, args.connected)]
-    return 0, {"count": len(graphs), "graphs": graphs}, graphs
+    payload = {"count": len(texts), "graphs": texts, **({"db": args.db} if args.db else {})}
+    return 0, payload, "\n".join(texts)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse arguments, execute, print, return the exit code."""
-    parser = _build_parser()
+    """Parse arguments, execute, print, return the exit code.  One printer
+    writes every command's (code, payload, human) results, one per graph."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
-    echo = list(argv) if argv is not None else sys.argv[1:]
-
-    def emit(code: int, payload, inputs=None) -> int:
-        if args.json:
-            doc = {
-                "command": echo,
-                "input": inputs,
-                "result": payload,
-                "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-            }
-            print(json.dumps(doc))
-        return code
-
     try:
-        if args.command == "bound":
-            value = construct.bound_f(args.k, args.ell)
-            if args.json:
-                return emit(0, {"bound": value})
-            print(value)
-            return 0
-
-        if args.command == "enumerate":
-            code, payload, lines = _run_enumerate(args)
-            if args.json:
-                return emit(code, payload)
-            for line in lines:
-                print(line)
-            return code
-
-        handler: Callable
-        extra = ()
         if args.command == "certify":
-            db = critical.load_critdb(args.db)
-            handler, extra = _cmd_certify, (db,)
+            args.db = critical.load_critdb(args.db)  # once, before any graph is read
+        batch = getattr(args, "graph", None) == "-"
+        if hasattr(args, "graph"):
+            graphs = list(ingest_graph6_stream(sys.stdin.read().splitlines())) if batch \
+                else [parse_graph6(args.graph)]
+            results, given = [args.run(args, g) for g in graphs], [to_graph6(g) for g in graphs]
         else:
-            handler = {
-                "free": _cmd_free,
-                "chi": _cmd_chi,
-                "critical": _cmd_critical,
-                "cotree": _cmd_cotree,
-                "pair": _cmd_pair,
-                "color": _cmd_color,
-            }[args.command]
-
-        if args.graph == "-":
-            lines = sys.stdin.read().splitlines()
-            graphs = list(enumeration.ingest_graph6_stream(lines))
-            texts = [ln.strip() for ln in lines if ln.strip()]
-        else:
-            graphs, texts = [parse_graph6(args.graph)], [args.graph]
-        codes, payloads, humans = [], [], []
-        for g in graphs:
-            code, payload, human = handler(args, g, *extra)
-            codes.append(code)
-            payloads.append(payload)
-            humans.append(human)
-        worst = max(codes, default=0)
-        if args.graph == "-":
-            if not args.json:
-                for h in humans:
-                    print(h)
-            return emit(worst, payloads, texts)
-        if not args.json:
-            print(humans[0])
-        return emit(worst, payloads[0], texts[0])
-
+            results, given = [args.run(args)], None
+        if args.json:
+            payloads = [payload for _, payload, _ in results]
+            print(json.dumps({
+                "command": argv,
+                "input": given if batch or given is None else given[0],
+                "result": payloads if batch else payloads[0],
+                "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+            }))
+        else:  # an enumeration that found nothing prints no line
+            sys.stdout.writelines(f"{human}\n" for _, _, human in results if human)
+        return max((code for code, _, _ in results), default=0)
     except (chroma.BudgetExhausted, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

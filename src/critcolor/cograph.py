@@ -217,11 +217,11 @@ def find_anticomplete_pair(g: Graph) -> AnticompletePair:
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
+    if g.edge_count() == g.n * (g.n - 1) // 2:  # K0 included, which has no cotree
+        raise CompleteGraphError("complete graphs admit no anticomplete pair")
     steps = _eliminations(g, (1 << g.n) - 1)
     if steps is None:
         raise NotCographError("graph has an induced four-vertex path")
-    if g.edge_count() == g.n * (g.n - 1) // 2:
-        raise CompleteGraphError("complete graphs admit no anticomplete pair")
 
     first = next(i for i, (false_twin, _, _) in enumerate(steps) if false_twin)
     x, y = {steps[first][1]}, {steps[first][2]}

@@ -23,10 +23,10 @@ from . import chroma
 from .chroma import Coloring
 from .graphs import (
     Graph,
-    Graph6Error,
     _check_vertices,
     delete_vertex,
     induced_subgraph,
+    ingest_graph6_stream,
     is_independent,
     iter_bits,
     mask_of,
@@ -289,10 +289,14 @@ def write_critdb(db: CriticalDb) -> str:
 
 
 def parse_critdb(text: str) -> CriticalDb:
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("#critdb "):
+    """Read a database from its file text: a ``#critdb k=K family=SPEC,...``
+    header line, then one graph6 member per line.  Blank lines and the
+    whitespace around a member line are ignored; errors name the file line."""
+    lines = text.splitlines()
+    at = next((i for i, ln in enumerate(lines, start=1) if ln.strip()), 0)
+    if not at or not lines[at - 1].startswith("#critdb "):
         raise ValueError("missing #critdb header line")
-    at, header = lines[0][0], lines[0][1][len("#critdb "):].strip()
+    header, lines[at - 1] = lines[at - 1][len("#critdb "):].strip(), ""  # members keep their line numbers
     fields: dict[str, str] = {}
     for part in header.split():
         key, eq, value = part.partition("=")
@@ -319,22 +323,18 @@ def parse_critdb(text: str) -> CriticalDb:
         family = tuple(parse_pattern(t) for t in names)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from exc
-    graphs = []
-    for i, line in lines[1:]:
-        try:
-            graphs.append(parse_graph6(line))
-        except Graph6Error as exc:
-            raise ValueError(f"line {i}: {exc}") from exc
-    return CriticalDb(k, family, tuple(line for _, line in lines[1:]), tuple(graphs))
+    graphs = tuple(ingest_graph6_stream(lines))
+    return CriticalDb(k, family, tuple(map(to_graph6, graphs)), graphs)  # each line's text, stripped
 
 
 def load_critdb(path: str) -> CriticalDb:
-    # undecodable bytes reach the parser, which names their line
+    """Read the critdb file at ``path``; ``parse_critdb`` names an undecodable byte's line."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_critdb(fh.read())
 
 
 def save_critdb(db: CriticalDb, path: str) -> None:
+    """Write ``db`` to ``path`` in the format ``load_critdb`` reads back."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(write_critdb(db))
 

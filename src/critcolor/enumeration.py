@@ -69,7 +69,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .critical import CriticalDb, _is_critical
 from .graphs import (
     Graph,
-    Graph6Error,
     _canonical_labeling,
     _component,
     _encode_graph6,
@@ -79,7 +78,6 @@ from .graphs import (
     is_connected,
     iter_bits,
     mask_of,
-    parse_graph6,
     without_vertex,
 )
 from .patterns import PatternSpec, _induced_copies, _pattern_order, is_free, realize
@@ -455,15 +453,3 @@ def verify_critdb(db: CriticalDb) -> bool:
             return False
     return True
 
-
-def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a graph6 line stream, skipping blank lines.  A malformed line
-    raises ValueError naming its line number."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield parse_graph6(line)
-        except Graph6Error as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc

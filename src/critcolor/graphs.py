@@ -183,6 +183,19 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, _rows_from_bits(n, _body_bits(body, nbits)))
 
 
+def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
+    """Parse a graph6 line stream, skipping blank lines and the whitespace
+    around a line.  A malformed line raises ValueError naming its number."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield parse_graph6(line)
+        except Graph6Error as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+
+
 def _body_bits(body: bytes, nbits: int) -> int:
     """The upper-triangle bit-string of a graph6 body: six bits a byte, most
     significant first, with the padding dropped.  Bytes are not checked."""

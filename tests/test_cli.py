@@ -53,6 +53,14 @@ def test_pair(capsys):
     assert "precondition failed" in capsys.readouterr().out
 
 
+def test_pair_on_the_empty_graph_is_a_failed_precondition(capsys):
+    # K0 is complete; as with `cotree ?`, a failed precondition exits 1
+    assert run(["pair", "?"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "precondition failed: complete graphs admit no anticomplete pair\n"
+    assert captured.err == ""
+
+
 def test_color_and_bound(capsys):
     assert run(["color", "--ell", "1", C5]) == 0
     assert capsys.readouterr().out.startswith("palette=3 bound=3")
@@ -143,6 +151,40 @@ def test_stdin_batch_json(capsys, monkeypatch):
     assert doc["input"] == [C5, K3]
     assert doc["result"][0]["cotree"] is None
     assert doc["result"][1]["cotree"] == "J(0,1,2)"
+
+
+CRITDB_K4_P4P1 = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
+
+
+@pytest.mark.parametrize("command", [
+    ["free", "-p", "P4"],
+    ["chi"],
+    ["chi", "--k", "2"],
+    ["critical", "--k", "3"],
+    ["cotree"],
+    ["pair"],
+    ["color", "--ell", "1"],
+    ["certify", "--k", "3", "--db", str(CRITDB_K4_P4P1)],
+])
+@pytest.mark.parametrize("graph", [C5, K3, PAW, "?"])
+def test_a_one_line_batch_prints_what_the_argument_form_prints(command, graph, capsys, monkeypatch):
+    def outcome(argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    line = f"  {graph}\t\n"  # the reader strips what surrounds a line
+    assert outcome([*command, "-"], line) == outcome([*command, graph])
+    code, out, err = outcome([*command, "--json", graph])
+    batch_code, batch_out, batch_err = outcome([*command, "--json", "-"], line)
+    assert (batch_code, batch_err) == (code, err)
+    if code == 2:  # an error prints no document
+        assert out == batch_out == ""
+        return
+    single, batch = json.loads(out), json.loads(batch_out)
+    assert batch["result"] == [single["result"]]
+    assert batch["input"] == [single["input"]] == [graph]
 
 
 def test_stdin_malformed_line_names_the_line(capsys, monkeypatch):

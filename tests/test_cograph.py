@@ -12,6 +12,7 @@ from critcolor.cograph import (
     Leaf,
     NotCographError,
     NotConnectedError,
+    PairPreconditionError,
     UnionNode,
     cograph_color,
     cotree_leaves,
@@ -20,7 +21,7 @@ from critcolor.cograph import (
     recognize,
     render_cotree,
 )
-from critcolor.enumeration import enumerate_graphs
+from critcolor.enumeration import enumerate_graphs, enumerate_up_to
 from critcolor.graphs import (
     bits_of,
     induced_subgraph,
@@ -174,8 +175,18 @@ def test_pair_preconditions_raise_distinct_errors():
         find_anticomplete_pair(complete_graph(4))
     with pytest.raises(CompleteGraphError):
         find_anticomplete_pair(complete_graph(1))
-    with pytest.raises(ValueError, match="empty graph"):
+    with pytest.raises(CompleteGraphError):
         find_anticomplete_pair(empty_graph(0))
+
+
+def test_pair_answers_or_fails_a_precondition_on_every_graph_up_to_5():
+    # the CLI exits 1 on a PairPreconditionError and 2 on any other error;
+    # K0 is complete, so it fails a precondition like any complete graph
+    for g in [empty_graph(0), *enumerate_up_to(5)]:
+        try:
+            find_anticomplete_pair(g)
+        except PairPreconditionError:
+            pass
 
 
 def test_pair_invariants_on_all_small_cographs():

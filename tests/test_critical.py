@@ -388,6 +388,14 @@ def test_critdb_empty_family_round_trips():
     assert parse_critdb(write_critdb(db)) == db
 
 
+def test_critdb_members_are_read_like_stdin_lines():
+    # blank lines and the whitespace around a member line are skipped, as
+    # ingest_graph6_stream skips them on stdin
+    db = parse_critdb("#critdb k=3 family=\n  Bw \n\nDhc\n")
+    assert db.members == ("Bw", "Dhc")
+    assert db.member_graphs == (parse_graph6("Bw"), parse_graph6("Dhc"))
+
+
 def test_parse_critdb_rejects_malformed_input():
     with pytest.raises(ValueError, match="header"):
         parse_critdb("Bw\n")
@@ -405,6 +413,7 @@ def test_parse_critdb_rejects_malformed_input():
     ("#critdb family=P4\nBw\n", "line 1: header must carry k= and family="),
     ("\n#critdb k=0 family=\n", "line 2: k must be at least 1, got 0"),
     ("#critdb k=3 family=\n\nBw\n\nD?\n", "line 5: need 2 adjacency bytes for n=5, found 1 (byte offset 2)"),
+    ("\n#critdb k=3 family=\n  Bw \n\nD?\n", "line 5: need 2 adjacency bytes for n=5, found 1 (byte offset 2)"),
     ("#critdb k=4 k=5 family=\nC~\n", "line 1: repeated header key 'k'"),
     ("#critdb k=4 family=P4+P1 family=P5\n", "line 1: repeated header key 'family'"),
     ("#critdb k=4 family=P4+P1 bogus\nC~\n", "line 1: header token 'bogus' is not key=value"),
@@ -582,11 +591,11 @@ def test_a_greedy_colourable_host_certifies_with_no_budget(petersen):
 
 
 def test_a_loaded_database_parses_each_member_once(monkeypatch):
-    import critcolor.critical as critical
+    import critcolor.graphs as graphs
 
     parsed = []
-    real = critical.parse_graph6
-    monkeypatch.setattr(critical, "parse_graph6", lambda text: parsed.append(text) or real(text))
+    real = graphs.parse_graph6
+    monkeypatch.setattr(graphs, "parse_graph6", lambda text: parsed.append(text) or real(text))
     db = load_critdb(str(CRITDB_K4_P4P1))
     assert isinstance(certify_k_colorable(C5, 3, db), Coloring)
     assert len(db.members) == 9 and parsed == list(db.members)

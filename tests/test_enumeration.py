@@ -25,7 +25,6 @@ from critcolor.enumeration import (
     enumerate_critical,
     enumerate_graphs,
     enumerate_up_to,
-    ingest_graph6_stream,
     verify_critdb,
 )
 from critcolor.graphs import (
@@ -39,6 +38,7 @@ from critcolor.graphs import (
     empty_graph,
     from_edges,
     induced_subgraph,
+    ingest_graph6_stream,
     is_connected,
     parse_graph6,
     to_graph6,
@@ -692,10 +692,10 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
 
 def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
     import critcolor.critical as critical
-    import critcolor.enumeration as enumeration
+    import critcolor.graphs as graph_module
 
     parsed = []
-    for module in (critical, enumeration):
+    for module in (critical, graph_module):
         real = module.parse_graph6
         monkeypatch.setattr(module, "parse_graph6", lambda text, real=real: parsed.append(text) or real(text))
     # the walk hands over the emitted classes as graphs, and verifying reads

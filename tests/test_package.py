@@ -343,6 +343,59 @@ def test_only_the_hash_and_the_kept_values_write_a_graphs_dict():
         "graphs.py:Graph.__hash__", "patterns.py:find_induced_subgraph"]
 
 
+def graph6_error_catchers(package_dir: Path) -> list[str]:
+    """The top-level functions of the package, as ``module:function`` (or
+    ``module:<module>`` outside any function), with an ``except`` clause
+    that names ``Graph6Error``: each one is a reader of graph6 lines."""
+    catchers = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None and "Graph6Error" in {
+                    getattr(name, "id", None) or getattr(name, "attr", None) for name in ast.walk(node.type)
+                }:
+                    catchers.add(f"{path.name}:{owner}")
+    return sorted(catchers)
+
+
+def test_graph6_error_guard_finds_every_catch(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from . import graphs\n"
+        "from .graphs import Graph6Error\n"
+        "def read(lines):\n"
+        "    for line in lines:\n"
+        "        try:\n"
+        "            graphs.parse_graph6(line)\n"
+        "        except Graph6Error:\n"
+        "            pass\n"
+        "def tupled():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (KeyError, graphs.Graph6Error) as exc:\n"
+        "        raise ValueError from exc\n"
+        "def broad():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n"
+        "try:\n"
+        "    pass\n"
+        "except Graph6Error:\n"
+        "    pass\n"
+    )
+    assert graph6_error_catchers(tmp_path) == ["mod.py:<module>", "mod.py:read", "mod.py:tupled"]
+
+
+def test_only_the_one_reader_catches_graph6_errors():
+    # stdin batches and critdb member lines go through ingest_graph6_stream;
+    # a second reader would bring back a second whitespace and error policy
+    assert graph6_error_catchers(Path(critcolor.__file__).parent) == ["graphs.py:ingest_graph6_stream"]
+
+
 def atom_kind_strings_outside_the_table(tree: ast.Module) -> list[str]:
     """String constants of a module that name an atom kind of its
     ``_ATOMS`` table, outside the table itself, the one-line constructors

@@ -22,8 +22,6 @@ def main() -> int:
     ap.add_argument("--free", action="append", default=[], metavar="SPEC",
                     help="forbidden induced pattern (repeatable)")
     ap.add_argument("--out", default=None, help="write the database here")
-    ap.add_argument("--skip-verify", action="store_true",
-                    help="skip the independent re-verification pass")
     args = ap.parse_args()
     try:
         return build(args)
@@ -50,12 +48,11 @@ def build(args: argparse.Namespace) -> int:
     for m in db.members:
         print(f"  {m}")
 
-    if not args.skip_verify:
-        print("re-verifying every member from scratch ...", end=" ", flush=True)
-        if not verify_critdb(db):
-            print("FAILED")
-            return 1
-        print("ok")
+    print("re-verifying every member from scratch ...", end=" ", flush=True)
+    if not verify_critdb(db):
+        print("FAILED")
+        return 1
+    print("ok")
 
     if args.out:
         save_critdb(db, args.out)

@@ -34,7 +34,6 @@ from .graphs import (
     parse_graph6,
     set_neighborhood_mask,
     to_graph6,
-    without_vertex,
 )
 from .patterns import (
     Embedding,
@@ -129,31 +128,20 @@ def _extract_with_kept(
 ) -> tuple[Graph, tuple[int, ...]]:
     """A k-vertex-critical induced subgraph of g, and the vertices of g it
     keeps: delete the least-indexed vertex whose deletion keeps chi >= k
-    while there is one.  While chi > k every deletion qualifies; at chi = k,
-    ``_keeps_chi`` decides, and the colouring and clique carry over."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    while there is one.  Each pass is one ``_deletions`` walk: while
+    chi > k that is vertex 0, at chi = k the first deletion it marks kept."""
     counter = chroma._counter(budget)
-    chi, col, clique = chroma._chromatic(g, counter)
-    if chi < k:
-        raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
-    classes = col._class_masks()
     kept = list(range(g.n))
     current = g
     while True:
-        for i in range(current.n):
-            if chi > k or _keeps_chi(current, i, chi, classes, clique, counter):
-                del kept[i]
-                current = delete_vertex(current, i)
-                if chi > k:
-                    chi, col, clique = chroma._chromatic(current, counter)
-                    classes = col._class_masks()
-                else:
-                    classes = [without_vertex(c, i) for c in classes]
-                    clique = without_vertex(clique, i)
-                break
-        else:
+        chi, keeps = _deletions(current, k, counter)
+        if chi < k:
+            raise ValueError(f"chromatic number {chi} is below {k}; nothing to extract")
+        i = 0 if chi > k else next((v for v, keep in enumerate(keeps) if keep), None)
+        if i is None:
             return current, tuple(kept)
+        del kept[i]
+        current = delete_vertex(current, i)
 
 
 def find_comparable_nonadjacent(g: Graph) -> Optional[tuple[int, int]]:
@@ -294,11 +282,12 @@ def parse_critdb(text: str) -> CriticalDb:
     whitespace around a member line are ignored; errors name the file line."""
     lines = text.splitlines()
     at = next((i for i, ln in enumerate(lines, start=1) if ln.strip()), 0)
-    if not at or not lines[at - 1].startswith("#critdb "):
+    header = lines[at - 1].strip() + " " if at else ""  # stripped, as member lines are
+    if not header.startswith("#critdb "):
         raise ValueError("missing #critdb header line")
-    header, lines[at - 1] = lines[at - 1][len("#critdb "):].strip(), ""  # members keep their line numbers
+    lines[at - 1] = ""  # members keep their line numbers
     fields: dict[str, str] = {}
-    for part in header.split():
+    for part in header[len("#critdb "):].split():
         key, eq, value = part.partition("=")
         if not eq:
             raise ValueError(f"line {at}: header token {part!r} is not key=value")

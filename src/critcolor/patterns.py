@@ -16,7 +16,11 @@ from itertools import chain, groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _clique, _counter
-from .graphs import Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
+from .graphs import DEFAULT_VERTEX_CAP, Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
+
+# The most parts parse_pattern and plus_isolated give a union, checked before
+# a part is built: eight times the largest order a graph may have.
+_PART_LIMIT = 8 * DEFAULT_VERTEX_CAP
 
 
 def _broom(n: int, m: int) -> tuple[int, Iterable[tuple[int, int]]]:
@@ -135,6 +139,9 @@ def union(*parts: PatternSpec) -> PatternSpec:
 def plus_isolated(base: PatternSpec, count: int) -> PatternSpec:
     if count < 1:
         raise ValueError(f"plus_isolated needs >= 1 isolated vertices, got {count}")
+    if (parts := len(base.parts or (base,)) + count) > _PART_LIMIT:
+        raise ValueError(f"plus_isolated({format_pattern(base)}, {count}) has {parts} parts, "
+                         f"above the limit {_PART_LIMIT}")
     return union(base, *[path(1)] * count)
 
 
@@ -425,7 +432,7 @@ def parse_pattern(text: str) -> PatternSpec:
     many copies ("2P2", "3K2").  Any text naming a disjoint union parses to
     one flat ``union``.  This reads back every text ``format_pattern``
     gives for an atom, and for a union whose parts are one run of equal
-    parts followed by P1s.
+    parts followed by P1s.  A union has at most ``_PART_LIMIT`` parts.
     """
     parts: list[PatternSpec] = []
     for i, term in enumerate(text.strip().lower().replace(" ", "").split("+")):
@@ -436,6 +443,8 @@ def parse_pattern(text: str) -> PatternSpec:
             raise ValueError(f"cannot parse pattern {text!r}")
         if i and atom != "p1":
             raise ValueError(f"only P1 terms may follow the base pattern, got {atom!r} in {text!r}")
+        if (total := len(parts) + count) > _PART_LIMIT:
+            raise ValueError(f"pattern {text!r} has {total} parts, above the limit {_PART_LIMIT}")
         parts += [_parse_atom(atom)] * count
     return parts[0] if len(parts) == 1 else union(*parts)
 

@@ -80,6 +80,13 @@ def test_patterns_above_the_vertex_cap_are_absent_not_errors(capsys):
     assert len(capsys.readouterr().out.split()) == 11  # every graph on 4 vertices
 
 
+def test_a_pattern_count_above_the_limit_exits_2_before_building_parts(capsys):
+    assert run(["free", "-p", "P4+1000000000P1", "Dhc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: pattern 'P4+1000000000P1' has 1000000001 parts, above the limit 4096" in captured.err
+
+
 def test_color_no_verify_outside_the_family_exits_2(capsys):
     assert run(["color", "--ell", "1", "--no-verify", "C~"]) == 2  # K4
     captured = capsys.readouterr()

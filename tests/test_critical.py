@@ -394,6 +394,9 @@ def test_critdb_members_are_read_like_stdin_lines():
     db = parse_critdb("#critdb k=3 family=\n  Bw \n\nDhc\n")
     assert db.members == ("Bw", "Dhc")
     assert db.member_graphs == (parse_graph6("Bw"), parse_graph6("Dhc"))
+    # and so is the header line
+    for text in ("  #critdb k=3 family=\nBw\n", "\t#critdb k=3 family=P5 \nBw\n"):
+        assert parse_critdb(text).members == ("Bw",)
 
 
 def test_parse_critdb_rejects_malformed_input():

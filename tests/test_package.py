@@ -396,6 +396,49 @@ def test_only_the_one_reader_catches_graph6_errors():
     assert graph6_error_catchers(Path(critcolor.__file__).parent) == ["graphs.py:ingest_graph6_stream"]
 
 
+def readers_of(package_dir: Path, name: str) -> list[str]:
+    """The top-level functions and classes of the package, as
+    ``module:name`` (or ``module:<module>`` outside any), that read
+    ``name``, as a plain name or as an attribute: each one can call it."""
+    readers = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            if any(name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for node in ast.walk(top) if isinstance(getattr(node, "ctx", None), ast.Load)):
+                readers.add(f"{path.name}:{owner}")
+    return sorted(readers)
+
+
+def test_reader_guard_finds_every_read_of_a_name(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from . import critical\n"
+        "def _keeps_chi(g, v):\n"
+        "    '''A _keeps_chi in a string is no read.'''\n"
+        "    return True\n"
+        "def _deletions(g):\n"
+        "    return (_keeps_chi(g, v) for v in range(g.n))\n"
+        "def alias():\n"
+        "    f = critical._keeps_chi\n"
+        "    return f\n"
+        "def store(_keeps_chi):\n"
+        "    _keeps_chi = 1\n"
+        "class Walk:\n"
+        "    def step(self, g):\n"
+        "        return _keeps_chi(g, 0)\n"
+        "_KEEP = _keeps_chi\n"
+    )
+    assert readers_of(tmp_path, "_keeps_chi") == [
+        "mod.py:<module>", "mod.py:Walk", "mod.py:_deletions", "mod.py:alias"]
+
+
+def test_only_the_deletion_walk_decides_whether_a_deletion_keeps_chi():
+    # criticality reports, verdicts, critdb checks and certify's extraction
+    # all go through _deletions; a second reader would be a second walk
+    assert readers_of(Path(critcolor.__file__).parent, "_keeps_chi") == ["critical.py:_deletions"]
+
+
 def atom_kind_strings_outside_the_table(tree: ast.Module) -> list[str]:
     """String constants of a module that name an atom kind of its
     ``_ATOMS`` table, outside the table itself, the one-line constructors

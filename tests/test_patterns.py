@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import re
 import time
 from itertools import permutations
 
@@ -349,6 +350,21 @@ def test_sizing_a_pattern_builds_none_of_it():
              broomplus(huge): huge + 4, plus_isolated(path(huge), 3): huge + 3}
     assert {spec: _pattern_order(spec) for spec in sizes} == sizes
     assert find_induced(C5, clique(huge)) is None
+
+
+def test_pattern_counts_are_bounded_before_any_part_is_built():
+    # 4,096 parts: eight times the largest graph, so every realizable
+    # pattern parses and a larger one is absent rather than an error
+    assert _pattern_order(parse_pattern("P4+4092P1")) == 4096
+    assert _pattern_order(plus_isolated(path(4), 4095)) == 4099
+    assert _pattern_order(plus_isolated(TWO_P2, 4094)) == 4098
+    for text, parts in [("P4+4096P1", 4097), ("P4+1000000000P1", 1000000001),
+                        ("5000P1", 5000), ("P4+3000P1+3000P1", 6001)]:
+        with pytest.raises(ValueError, match=rf"^pattern '{re.escape(text)}' has {parts} parts, above the limit 4096$"):
+            parse_pattern(text)
+    for base, count, parts in [(path(4), 4096, 4097), (path(4), 10**9, 10**9 + 1), (TWO_P2, 4095, 4097)]:
+        with pytest.raises(ValueError, match=rf"^plus_isolated\({format_pattern(base)}, {count}\) has {parts} parts"):
+            plus_isolated(base, count)
 
 
 def test_find_induced_is_deterministic():

@@ -33,7 +33,7 @@ def main() -> int:
 
 
 def survey(args: argparse.Namespace) -> int:
-    base = plus_isolated(path(4), args.ell) if args.ell else path(4)
+    base = plus_isolated(path(4), args.ell) if args.ell >= 1 else path(4)  # bound_f rejects ell < 0
     family = [base, clique(args.clique)]
     bound = bound_f(args.clique, args.ell)
     print(f"family: ({format_pattern(base)}, K{args.clique})-free, "

@@ -284,7 +284,7 @@ def parse_critdb(text: str) -> CriticalDb:
     at = next((i for i, ln in enumerate(lines, start=1) if ln.strip()), 0)
     header = lines[at - 1].strip() + " " if at else ""  # stripped, as member lines are
     if not header.startswith("#critdb "):
-        raise ValueError("missing #critdb header line")
+        raise ValueError(f"line {at}: missing #critdb header line" if at else "missing #critdb header line")
     lines[at - 1] = ""  # members keep their line numbers
     fields: dict[str, str] = {}
     for part in header[len("#critdb "):].split():

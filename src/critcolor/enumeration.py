@@ -73,7 +73,7 @@ from .graphs import (
     _component,
     _encode_graph6,
     _orbit,
-    _rows_from_bits,
+    _relabel,
     delete_vertex,
     is_connected,
     iter_bits,
@@ -208,9 +208,11 @@ def _walk(
     trace_patterns = _trace_patterns(family, n_max)
     parents, parent_gens = [Graph(0, ())], [()]
     for n in range(1, n_max + 1):
-        # canonical bit-string -> generators in canonical order (none at n_max)
-        extended: dict[int, Sequence[list[int]]] = {}
-        emitted: set[int] = set()
+        # canonical bit-string -> the class's canonical rows, and for
+        # extended classes below n_max their generators in canonical order
+        extended: dict[int, tuple[int, ...]] = {}
+        extended_gens: dict[int, list[list[int]]] = {}
+        emitted: dict[int, tuple[int, ...]] = {}
         for parent, gens in zip(parents, parent_gens):
             classify_child = classify(parent)
             by_degree: dict[int, int] = {}  # degree -> mask of the parent's vertices
@@ -237,17 +239,17 @@ def _walk(
                 child = _attach(parent, nb)
                 if ties and _outranked(child, ties):
                     continue
-                if kind == _EMIT:
-                    emitted.add(_canonical_labeling(child)[0])
-                else:
-                    bits, label, child_gens = _canonical_labeling(child)
-                    if bits not in extended:
-                        pos = sorted(range(n), key=label.__getitem__)  # label's inverse
-                        extended[bits] = [[pos[p[v]] for v in label] for p in child_gens] if n < n_max else ()
+                bits, label, child_gens = _canonical_labeling(child)
+                classes = extended if kind == _EXTEND else emitted
+                if bits not in classes:
+                    pos = sorted(range(n), key=label.__getitem__)  # label's inverse
+                    classes[bits] = _relabel(child, label, pos)
+                    if kind == _EXTEND and n < n_max:
+                        extended_gens[bits] = [[pos[p[v]] for v in label] for p in child_gens]
         order = sorted(extended)  # at one order the bit-strings sort as the graph6 texts
-        parents = [Graph(n, _rows_from_bits(n, bits)) for bits in order]
-        parent_gens = [extended[bits] for bits in order]
-        candidates = ((bits, Graph(n, _rows_from_bits(n, bits))) for bits in sorted(emitted))
+        parents = [Graph(n, extended[bits]) for bits in order]  # made one by one in the loop, they raised peak RSS
+        parent_gens = [extended_gens.get(bits, ()) for bits in order]
+        candidates = ((bits, Graph(n, emitted[bits])) for bits in sorted(emitted))
         yield n, parents, {_encode_graph6(n, bits): g for bits, g in candidates if is_free(g, family)[0]}
 
 

@@ -21,12 +21,15 @@ is split into singletons in list order without search.  The label is the
 first leaf of least bit-string in the unpruned search; pruning only skips
 subtrees that an automorphism maps onto earlier ones, and that split is
 the one path it keeps through a twin cell, so neither changes the result.
+Most graphs skip the search: when the root refinement is discrete (there
+are no twins; refinement never separates them) or each larger cell is a
+twin class, the one leaf is the cells flattened, and the maps the swaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_VERTEX_CAP = 512
 
@@ -316,7 +319,8 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     generate less than Aut(g).  They start with one swap per vertex that
     has a twin below it, with the nearest such twin: swaps with the least
     twin would all move it, leaving none once it is fixed, and the
-    lex-leader chain of ``plus_isolated(path(4), 3)`` would break."""
+    lex-leader chain of ``plus_isolated(path(4), 3)`` would break.  Root
+    cells that are singletons or twin classes make one leaf, returned at once."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
@@ -324,19 +328,23 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
         by_degree.setdefault(rows[v].bit_count(), []).append(v)
     stable: set[int] = set()
     cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
-
     best_bits: Optional[int] = None
     best_label: Optional[list[int]] = None
     gens: list[list[int]] = []  # automorphisms, as orig -> orig maps
     twin = list(range(n))  # the least twin of each vertex
     last: dict[int, int] = {}  # open or closed row -> the last vertex with it
-    for v, row in enumerate(rows):
+    for v, row in enumerate(rows if len(cells) < n else ()):  # a discrete partition has no twins
         for key in (row, row | 1 << v):  # false twins share the one, true twins the other
             if key in last:
                 u = last[key]
                 twin[v] = twin[u]
-                gens.append([v if w == u else u if w == v else w for w in range(n)])
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                gens.append(swap)
             last[key] = v
+    if all(twin[v] == twin[c[0]] for c in cells for v in c):  # one leaf: split each twin cell
+        label = [v for c in cells for v in c]
+        return _adjacency_bits(rows, label), label, gens
 
     def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
         nonlocal best_bits, best_label
@@ -361,9 +369,11 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
                 if any(perm[v] != v for v in range(n)) and perm not in gens:
                     gens.append(perm)
             return
-        done = 0
+        done = seen = 0
+        usable: list[list[int]] = []  # the maps fixing ``fixed``, extended as leaves add maps
         for v in cells[target]:
-            usable = [p for p in gens if all(p[f] == f for f in fixed)]
+            usable += [p for p in gens[seen:] if all(p[f] == f for f in fixed)]
+            seen = len(gens)
             if _orbit(v, usable) & done:
                 continue
             done |= 1 << v
@@ -469,13 +479,21 @@ def mixed_vertices(g: Graph, s: Iterable[int]) -> frozenset[int]:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, relabelled 0..k-1 in ascending order."""
     keep = sorted(set(vertices))
-    m = _check_vertices(g, keep)
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
-    for v in keep:
-        for u in iter_bits(g.rows[v] & m):
-            rows[pos[v]] |= 1 << pos[u]
-    return Graph(len(keep), tuple(rows))
+    return Graph(len(keep), _relabel(g, keep, {v: i for i, v in enumerate(keep)}, _check_vertices(g, keep)))
+
+
+def _relabel(g: Graph, label: list[int], pos: Union[list[int], dict[int, int]], within: int = -1) -> tuple[int, ...]:
+    """The rows of the subgraph on ``label`` (vertex mask ``within``, by
+    default all) with vertex ``label[i]`` renamed i, given ``pos[label[i]] == i``."""
+    rows = []
+    for v in label:
+        row, out = g.rows[v] & within, 0
+        while row:  # iter_bits inlined: the walk relabels every class it finds
+            low = row & -row
+            out |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        rows.append(out)
+    return tuple(rows)
 
 
 def without_vertex(mask: int, v: int) -> int:

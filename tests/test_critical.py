@@ -425,6 +425,11 @@ def test_parse_critdb_rejects_malformed_input():
     ("#critdb k=4 family=P4+P1 familly=P5\n", "line 1: unknown header key 'familly'"),
     ("#critdb k=4 family= colour=red\nC~\n", "line 1: unknown header key 'colour'"),
     ("\n#critdb K=4 family=P5\n", "line 2: unknown header key 'K'"),
+    ("Bw\n", "line 1: missing #critdb header line"),
+    ("\n\nfoo\n", "line 3: missing #critdb header line"),
+    ("  \n\tBw\n#critdb k=3 family=\n", "line 2: missing #critdb header line"),
+    ("", "missing #critdb header line"),
+    ("\n \n\t\n", "missing #critdb header line"),
 ])
 def test_parse_critdb_errors_name_the_line(text, message):
     with pytest.raises(ValueError) as info:

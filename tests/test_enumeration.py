@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,11 @@ def complete_multipartite(*sizes: int) -> Graph:
     return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
 
 
+# twin classes, some of them sharing a degree cell with another
+TWINNED = [complete_multipartite(*sizes) for sizes in [(2, 2, 2), (1, 2, 3), (1, 1, 3, 3), (4, 5)]]
+TWINNED += [realize(parse_pattern(text)) for text in ("P4+3P1", "K3+3P1", "2P3+2P1")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=10, min_n=1))
 def test_canonical_labeling_equals_the_reference_search(g):
@@ -223,14 +229,95 @@ def test_canonical_labeling_equals_the_reference_search_on_symmetric_graphs(pete
     k33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
     cycles = [from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
     edgeless = [empty_graph(n) for n in range(1, 9)]
-    # twin classes, some of them sharing a degree cell with another
-    twinned = [complete_multipartite(*sizes) for sizes in [(2, 2, 2), (1, 2, 3), (1, 1, 3, 3), (4, 5)]]
-    twinned += [realize(parse_pattern(text)) for text in ("P4+3P1", "K3+3P1", "2P3+2P1")]
     for g in [petersen, permuted(petersen, 3), k33, permuted(k33, 5), *cycles, *edgeless]:
         assert_labels_like_the_reference(g)
-    for g in twinned:
+    for g in TWINNED:
         assert_labels_like_the_reference(g)
         assert_labels_like_the_reference(permuted(g, 7))
+
+
+def descent_canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
+    """``_canonical_labeling`` as it stood before its one-leaf returns:
+    every graph, rigid or split by its twins alone, enters ``descend``, which
+    rebuilds the usable maps at every sibling.  Kept verbatim so the exact
+    generator list, which the orbit pruning and the lex-leader chains read,
+    is compared, not only the group it generates."""
+    n = g.n
+    rows = g.rows
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(rows[v].bit_count(), []).append(v)
+    stable: set[int] = set()
+    cells = _refine(rows, [by_degree[d] for d in sorted(by_degree)], stable)
+
+    best_bits: Optional[int] = None
+    best_label: Optional[list[int]] = None
+    gens: list[list[int]] = []  # automorphisms, as orig -> orig maps
+    twin = list(range(n))  # the least twin of each vertex
+    last: dict[int, int] = {}  # open or closed row -> the last vertex with it
+    for v, row in enumerate(rows):
+        for key in (row, row | 1 << v):  # false twins share the one, true twins the other
+            if key in last:
+                u = last[key]
+                twin[v] = twin[u]
+                gens.append([v if w == u else u if w == v else w for w in range(n)])
+            last[key] = v
+
+    def descend(cells: list[list[int]], fixed: list[int], stable: set[int]) -> None:
+        nonlocal best_bits, best_label
+        while True:
+            target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            if target is None or any(twin[v] != twin[cells[target][0]] for v in cells[target]):
+                break
+            # a cell of twins: every order of it is one orbit, and the
+            # partition stays equitable, so the first order is the only path
+            fixed = fixed + cells[target]
+            cells = cells[:target] + [[v] for v in cells[target]] + cells[target + 1:]
+        if target is None:
+            label = [c[0] for c in cells]
+            bits = _adjacency_bits(rows, label)
+            if best_bits is None or bits < best_bits:
+                best_bits = bits
+                best_label = label
+            elif bits == best_bits:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best_label[i]] = label[i]
+                if any(perm[v] != v for v in range(n)) and perm not in gens:
+                    gens.append(perm)
+            return
+        done = 0
+        for v in cells[target]:
+            usable = [p for p in gens if all(p[f] == f for f in fixed)]
+            if _orbit(v, usable) & done:
+                continue
+            done |= 1 << v
+            rest = [u for u in cells[target] if u != v]
+            child = cells[:target] + [[v], rest] + cells[target + 1:]
+            child_stable = set(stable)
+            descend(_refine(rows, child, child_stable), fixed + [v], child_stable)
+
+    descend(cells, [], stable)
+    assert best_bits is not None and best_label is not None
+    return best_bits, best_label, gens
+
+
+def test_one_leaf_returns_keep_every_triple():
+    # all graphs up to 7 vertices, a relabelled copy of each, seeded G(n, p)
+    # up to 14 vertices and the twinned graphs: (bits, label, gens) all equal
+    small = list(enumerate_up_to(7))
+    assert len(small) == 1252
+    rng = random.Random(26)
+    seeded = [random_graph(n, rng.random(), rng.randrange(2**30)) for n in range(1, 15) for _ in range(60)]
+    for g in small + [permuted(g, i) for i, g in enumerate(small)] + seeded + TWINNED + [permuted(g, 7) for g in TWINNED]:
+        assert _canonical_labeling(g) == descent_canonical_labeling(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12), st.integers(0, 2**30))
+def test_one_leaf_returns_keep_every_triple_on_random_graphs(g, seed):
+    for h in (g, permuted(g, seed)):
+        assert _canonical_labeling(h) == descent_canonical_labeling(h)
 
 
 def test_twin_seeding_saves_most_refinements(monkeypatch):

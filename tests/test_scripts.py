@@ -44,7 +44,8 @@ def test_chi_bound_survey_runs():
         ("build_critdb.py", ["--k", "3", "--n", "5", "--free", "Q7"], "cannot parse pattern"),
         ("chi_bound_survey.py", ["--n", "11"], "enumeration limited to 1 <= n <= 10"),
         ("chi_bound_survey.py", ["--clique", "0"], "clique needs at least one vertex"),
-        ("chi_bound_survey.py", ["--ell", "-1"], "needs >= 1 isolated vertices"),
+        ("chi_bound_survey.py", ["--ell", "-1"], "ell must be nonnegative, got -1"),
+        ("chi_bound_survey.py", ["--ell", "-3", "--clique", "4"], "ell must be nonnegative, got -3"),
     ],
 )
 def test_scripts_report_bad_arguments_without_a_traceback(name, args, needle):

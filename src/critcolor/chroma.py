@@ -136,8 +136,10 @@ def is_k_colorable(
     vertex whose neighbours use the most distinct colours (ties: higher
     degree, then lower index) and try its free colours in ascending order, a
     fresh colour last and only while fewer than k are open.  Colour classes
-    appear in first-use order and the result is deterministic.  With k >= n
-    the search never backtracks: its one descent is the DSATUR greedy.
+    appear in first-use order and the result is deterministic.  Each colour
+    tried marks the neighbours on its own copy of the colour marks, so a
+    failed try leaves nothing to undo.  With k >= n the search never
+    backtracks: its one descent is the DSATUR greedy.
     ``budget`` caps the search nodes (see ``_Budget``).  An uncapped call
     that finds no colouring keeps k on the graph as its floor, and later
     uncapped calls for k up to the floor answer None with no search; like
@@ -157,12 +159,9 @@ def is_k_colorable(
     k = min(k, n)  # a colouring never opens more colours than vertices
     order = sorted(range(n), key=lambda v: -rows[v].bit_count())
     colour_of = [0] * n
-    class_masks = [0] * (k + 1)  # 1-based
-    seen = [0] * n  # bit c of seen[v]: a neighbour of v has colour c
-    used = 0
 
-    def solve() -> bool:
-        nonlocal used
+    def solve(seen: list[int], used: int) -> bool:
+        # bit c of seen[v]: a neighbour of v has colour c
         if counter is not None:
             counter.spend()
         v = sat = -1
@@ -179,36 +178,23 @@ def is_k_colorable(
             bit = free & -free
             free ^= bit
             c = bit.bit_length() - 1
-            fresh = c > used
             colour_of[v] = c
-            class_masks[c] |= 1 << v
+            marked = seen[:]  # this try's marks; a failed try drops them
             nbrs = rows[v]
             while nbrs:
                 low = nbrs & -nbrs
                 nbrs ^= low
-                seen[low.bit_length() - 1] |= bit
-            if fresh:
-                used += 1
-            if solve():
+                marked[low.bit_length() - 1] |= bit
+            if solve(marked, max(c, used)):
                 return True
-            if fresh:
-                used -= 1
-            class_masks[c] ^= 1 << v
-            nbrs = rows[v]
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                u = low.bit_length() - 1
-                if not rows[u] & class_masks[c]:
-                    seen[u] &= ~bit
-            colour_of[v] = 0
+        colour_of[v] = 0
         return False
 
-    if not solve():
+    if not solve([0] * n, 0):
         if counter is None:  # kept as _clique is: uncapped calls only
             g.__dict__["_floor"] = k
         return None
-    return Coloring(used, tuple(colour_of))
+    return Coloring(max(colour_of), tuple(colour_of))
 
 
 def _greedy(g: Graph) -> Coloring:

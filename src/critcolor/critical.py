@@ -99,9 +99,9 @@ def _keeps_chi(
 
     A chi-clique that misses v says chi with no search; so does, for chi - 1,
     moving every other vertex of v's class greedily into another class.
-    Else a chi-clique in g - v says chi, a DSATUR colouring of g - v with
-    fewer than chi colours says chi - 1, and one (chi - 1)-colourability
-    search decides.
+    Else a chi-clique in g - v says chi, and one (chi - 1)-colourability
+    search decides: its first descent is the DSATUR greedy of g - v, so a
+    greedy that fits is found there at no extra cost.
     """
     big_clique = clique.bit_count() == chi
     if big_clique and not clique >> v & 1:
@@ -118,8 +118,6 @@ def _keeps_chi(
     rest = delete_vertex(g, v)
     if big_clique and chroma.clique_number(rest, counter) == chi:
         return True
-    if chroma._greedy(rest).palette_size < chi:
-        return False
     return chroma.is_k_colorable(rest, chi - 1, counter) is None
 
 

@@ -15,6 +15,7 @@ from critcolor.chroma import (
     is_k_colorable,
     is_proper_coloring,
 )
+from critcolor.enumeration import enumerate_up_to
 from critcolor.graphs import (
     Graph,
     complement,
@@ -23,6 +24,7 @@ from critcolor.graphs import (
     empty_graph,
     from_edges,
     iter_bits,
+    parse_graph6,
 )
 
 from conftest import graphs, random_graph
@@ -43,6 +45,13 @@ GROTZSCH = from_edges(11, [
     (8, 4), (8, 2), (9, 0), (9, 3),
     (10, 5), (10, 6), (10, 7), (10, 8), (10, 9),
 ])
+
+# the 18 graphs on 8 vertices whose DSATUR greedy colouring is not optimal
+# (on at most 7 vertices it always is); G?K}fC is the first
+GREEDY_OVERSHOOTS = (
+    "G?K}fC", "G?LZfC", "G?L^Fc", "G?LufS", "G@L]FC", "G@NE^_", "G@Tc~G", "G@Td]g", "G@U^NO",
+    "G@UnMo", "GBI]^O", "GBIm]o", "GBn^FC", "GGCyv?", "GHUK~g", "GJemvG", "GKEZ^O", "G_L|v_",
+)
 
 
 def test_known_values(petersen):
@@ -290,6 +299,16 @@ def test_decision_search_matches_the_reference_search(g):
         if spent:
             with pytest.raises(BudgetExhausted):
                 is_k_colorable(g, k, spent - 1)
+
+
+def test_decision_search_matches_the_reference_search_on_every_small_graph():
+    # every graph with at most 7 vertices and the greedy's overshoots, for
+    # every k: the same colouring from the same number of nodes
+    for g in [*enumerate_up_to(7), *map(parse_graph6, GREEDY_OVERSHOOTS)]:
+        for k in range(g.n + 2):
+            mine, reference = _Budget(10**9), _Budget(10**9)
+            assert is_k_colorable(g, k, mine) == reference_is_k_colorable(g, k, reference)
+            assert mine.left == reference.left
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -127,6 +129,21 @@ def test_usage_errors_exit_2(capsys):
     assert run(["chi"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_the_module_form_runs_the_cli(capsys):
+    # the module form must run the command, not only import the module
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "critcolor.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = module("chi", "Dhc")
+    assert done.returncode == run(["chi", "Dhc"]) == 0
+    assert done.stdout == capsys.readouterr().out == "chi=3 colouring=1,2,1,2,3\n"
+    usage = module("chi")
+    assert usage.returncode == 2 and "usage:" in usage.stderr
 
 
 def test_json_document_shape(capsys):

@@ -37,6 +37,7 @@ from critcolor.critical import (
 )
 from critcolor.graphs import (
     bits_of,
+    complement,
     complete_graph,
     delete_vertex,
     disjoint_union,
@@ -61,7 +62,7 @@ from critcolor.patterns import (
 
 from conftest import graphs, random_graph
 from oracles import naive_chromatic, naive_is_isomorphic, naive_is_k_colorable
-from test_chroma import least_budget, nodes_spent
+from test_chroma import GREEDY_OVERSHOOTS, least_budget, nodes_spent
 
 CRITDB_K4_P4P1 = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
 
@@ -70,12 +71,6 @@ C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 W5 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
-# the 18 graphs on 8 vertices whose DSATUR greedy colouring is not optimal
-# (on at most 7 vertices it always is); G?K}fC is the first
-GREEDY_OVERSHOOTS = (
-    "G?K}fC", "G?LZfC", "G?L^Fc", "G?LufS", "G@L]FC", "G@NE^_", "G@Tc~G", "G@Td]g", "G@U^NO",
-    "G@UnMo", "GBI]^O", "GBIm]o", "GBn^FC", "GGCyv?", "GHUK~g", "GJemvG", "GKEZ^O", "G_L|v_",
-)
 GREEDY_NEEDS_4 = parse_graph6(GREEDY_OVERSHOOTS[0])
 
 
@@ -118,7 +113,11 @@ def test_report_agrees_with_the_oracle(g, shift):
 
 
 def test_report_agrees_with_the_oracle_on_every_small_graph():
-    for g in enumerate_up_to(6):
+    # each overshoot plus a universal vertex: on three of them, 14 deletions
+    # leave a graph whose greedy needs chi colours, and the search decides
+    coned = [complement(disjoint_union(complement(parse_graph6(text)), empty_graph(1)))
+             for text in GREEDY_OVERSHOOTS]
+    for g in [*enumerate_up_to(6), *coned]:
         _assert_report_matches_oracle(g, max(1, naive_chromatic(g)))
 
 
@@ -132,6 +131,18 @@ def test_report_runs_one_chromatic_number_search(petersen, monkeypatch):
     rep = criticality_report(petersen, 3)
     assert rep.chi == 3 and rep.per_vertex == (3,) * 10 and not rep.verdict
     assert len(calls) == 1
+
+
+def test_report_colours_no_deleted_graph_greedily(petersen, monkeypatch):
+    # the (chi - 1)-colourability search's first descent is the greedy, so
+    # the only greedy colouring a report makes is g's own
+    calls = []
+    real = chroma._greedy
+    monkeypatch.setattr(chroma, "_greedy", lambda h: calls.append(h) or real(h))
+    for g, k in [(petersen, 3), (W5, 4), (disjoint_union(C5, complete_graph(1)), 3)]:
+        calls.clear()
+        criticality_report(g, k)
+        assert len(calls) == 1 and calls[0] is g
 
 
 def test_the_verdict_helper_equals_the_report():

@@ -1,4 +1,5 @@
-"""Exact clique number, chromatic number and k-colourability decisions.
+"""Exact clique number, chromatic number and k-colourability decisions, for
+a graph and (``_colourable``) for the subgraph a vertex mask induces.
 
 Everything here is branch and bound over bitmasks.  No timeouts: callers at
 desk scale (n up to a dozen or so) get exact answers fast, and the optional
@@ -9,7 +10,7 @@ growing too large instead of hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import Graph, bits_of
 
@@ -235,3 +236,50 @@ def _chromatic(
         if col is not None:
             return col.palette_size, col, clique
     return greedy.palette_size, greedy, clique
+
+
+def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool]) -> bool:
+    """Whether the vertices of ``mask`` induce a c-colourable graph.  The
+    colour class of the lowest vertex can be taken maximal (a vertex moved
+    into it keeps the colouring proper), so the mask is c-colourable exactly
+    when, for some maximal independent set I of it holding that vertex, the
+    rest is (c-1)-colourable.  One colour fits exactly an independent mask.
+    ``memo`` keeps answers for c >= 2 by (mask, c) for every call on the same
+    rows: the walk's sieve and the lemma search each keep one."""
+    if mask.bit_count() <= c:
+        return True
+    if c <= 1:
+        if c < 1:
+            return False
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & mask:
+                return False
+            rest ^= low
+        return True
+    key = (mask, c)
+    hit = memo.get(key)
+    if hit is None:
+        low = mask & -mask
+        hit = memo[key] = _class_completes(rows, mask, c, memo, low, mask & ~rows[low.bit_length() - 1] ^ low, 0)
+    return hit
+
+
+def _class_completes(
+    rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool], s: int, cand: int, passed: int
+) -> bool:
+    """Whether the independent set s grows, by vertices of ``cand`` (those of
+    the mask that no vertex of s sees), into a maximal independent set of the
+    mask whose rest is (c-1)-colourable.  ``passed`` holds the vertices left
+    out of s that no vertex of s sees yet: a later vertex must block each."""
+    if not _colourable(rows, mask & ~s & ~cand, c - 1, memo):
+        return False  # the rest only grows from here
+    if not cand:
+        return not passed
+    bit = cand & -cand
+    row = rows[bit.bit_length() - 1]
+    if _class_completes(rows, mask, c, memo, s | bit, cand & ~row ^ bit, passed & ~row):
+        return True
+    # leave the vertex out only when a candidate can still block it
+    return bool(row & cand) and _class_completes(rows, mask, c, memo, s, cand ^ bit, passed | bit)

@@ -1,13 +1,13 @@
 """Vertex-criticality: reports, databases, structural necessary conditions.
 
 A graph is k-vertex-critical when its chromatic number is k and deleting any
-single vertex drops it to k-1.  Such graphs obey strong local constraints;
-two are implemented here as searches that must come up empty on every
-critical graph.  find_comparable_nonadjacent looks for a nonadjacent pair
-with nested neighbourhoods.  find_lemma_xy_violation looks for the more
-general obstruction: disjoint anticomplete sets X and Y where Y dominates
-N(X) and the X side needs no more colours than the Y side (then X could be
-recoloured inside Y's palette, so the graph could not have been critical).
+single vertex drops it to k-1.  Such graphs obey strong local constraints,
+searched for here as an obstruction that must be absent from every critical
+graph: find_lemma_xy_violation looks for disjoint anticomplete sets X and Y
+where Y dominates N(X) and the X side needs no more colours than the Y side
+(then X could be recoloured inside Y's palette, so the graph could not have
+been critical).  find_comparable_nonadjacent is its size-one case, a
+nonadjacent pair with nested neighbourhoods.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     _check_vertices,
     delete_vertex,
-    induced_subgraph,
     ingest_graph6_stream,
     is_independent,
     iter_bits,
@@ -143,15 +142,10 @@ def _extract_with_kept(
 
 
 def find_comparable_nonadjacent(g: Graph) -> Optional[tuple[int, int]]:
-    """Least ordered pair (u, v) of nonadjacent vertices with N(u) ⊆ N(v)."""
-    for u in range(g.n):
-        ru = g.rows[u]
-        for v in range(g.n):
-            if v == u or ru >> v & 1:
-                continue
-            if ru & ~g.rows[v] == 0:
-                return (u, v)
-    return None
+    """Least ordered pair (u, v) of nonadjacent vertices with N(u) ⊆ N(v):
+    ``find_lemma_xy_violation`` at size one, with X = {u} and Y = {v}."""
+    hit = find_lemma_xy_violation(g, 1)
+    return None if hit is None else (min(hit[0]), min(hit[1]))
 
 
 def find_lemma_xy_violation(
@@ -160,9 +154,14 @@ def find_lemma_xy_violation(
     """Search for anticomplete X, Y with chi(G[X]) <= chi(G[Y]) and Y
     complete to N(X).  Pairs are tried in lexicographic order of
     (|X|+|Y|, X, Y), so the first hit is deterministic.  Returns None when
-    no such pair exists (as must happen on every vertex-critical graph)."""
+    no such pair exists (as must happen on every vertex-critical graph).
+    Y runs over the combinations of the vertices outside N[X] that see all
+    of N(X); ``chroma._colourable``, with one memo, decides both chi sides."""
     if size_cap < 1:
         raise ValueError("size_cap must be at least 1")
+    size_cap = min(size_cap, g.n)  # no side is larger; a larger cap costs time
+    rows = g.rows
+    memo: dict[tuple[int, int], bool] = {}
     xs_all = sorted(c for size in range(1, size_cap + 1) for c in combinations(range(g.n), size))
     for total in range(2, 2 * size_cap + 1):
         for xs in xs_all:
@@ -171,17 +170,11 @@ def find_lemma_xy_violation(
                 continue
             xmask = mask_of(xs)
             nx_mask = set_neighborhood_mask(g, xmask)
-            chi_x: Optional[int] = None
-            for ys in combinations((v for v in range(g.n) if not xmask >> v & 1), sy):
-                # anticomplete, and Y complete to N(X)
-                if any(g.rows[v] & xmask for v in ys):
-                    continue
-                if any(nx_mask & ~g.rows[v] for v in ys):
-                    continue
-                if chi_x is None:
-                    chi_x = chroma.chromatic_number(induced_subgraph(g, xs))[0]
-                chi_y = chroma.chromatic_number(induced_subgraph(g, ys))[0]
-                if chi_x <= chi_y:
+            ys_from = [v for v in range(g.n) if not (rows[v] | 1 << v) & xmask and not nx_mask & ~rows[v]]
+            for ys in combinations(ys_from, sy):
+                ymask = mask_of(ys)
+                chi_y = next(c for c in range(1, sy + 1) if chroma._colourable(rows, ymask, c, memo))
+                if chroma._colourable(rows, xmask, chi_y, memo):
                     return (frozenset(xs), frozenset(ys))
     return None
 

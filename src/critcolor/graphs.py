@@ -96,18 +96,20 @@ def validate(g: Graph) -> None:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
 
-def from_rows(n: int, rows: Iterable[int]) -> Graph:
+def _checked(n: int) -> int:
     if not 0 <= n <= DEFAULT_VERTEX_CAP:
         raise ValueError(f"vertex count {n} outside 0..{DEFAULT_VERTEX_CAP}")
-    g = Graph(n, tuple(rows))
+    return n
+
+
+def from_rows(n: int, rows: Iterable[int]) -> Graph:
+    g = Graph(_checked(n), tuple(rows))
     validate(g)
     return g
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if not 0 <= n <= DEFAULT_VERTEX_CAP:
-        raise ValueError(f"vertex count {n} outside 0..{DEFAULT_VERTEX_CAP}")
-    rows = [0] * n
+    rows = [0] * _checked(n)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -123,7 +125,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
+    full = (1 << _checked(n)) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 

@@ -252,6 +252,9 @@ def test_lemma_xy_respects_size_cap():
     assert find_lemma_xy_violation(g, 2) == (frozenset({0, 1}), frozenset({2, 3}))
     with pytest.raises(ValueError):
         find_lemma_xy_violation(g, 0)
+    # a cap above n tries no side larger than n, so these answer at once
+    assert find_lemma_xy_violation(g, 10**5) == (frozenset({0, 1}), frozenset({2, 3}))
+    assert find_lemma_xy_violation(complete_graph(3), 10**5) is None
 
 
 def brute_lemma_xy_violation(g, size_cap):
@@ -278,6 +281,26 @@ def brute_lemma_xy_violation(g, size_cap):
 @given(graphs(max_n=8), st.integers(1, 2))
 def test_lemma_xy_violation_is_the_least_pair_of_the_brute_force(g, size_cap):
     assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
+
+
+def test_lemma_xy_violation_is_the_least_pair_on_every_small_graph():
+    for g in [empty_graph(0), *enumerate_up_to(6)]:
+        for size_cap in (1, 2):
+            assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
+
+
+def test_the_lemma_search_runs_no_colouring_search_on_graphs(monkeypatch):
+    members = enumerate_critical(4, 8, [parse_pattern("P4+P1")]).member_graphs
+    paw = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+    def refuse(*args):
+        raise AssertionError("the lemma search decides chi on vertex masks")
+
+    monkeypatch.setattr(chroma, "chromatic_number", refuse)
+    monkeypatch.setattr(chroma, "is_k_colorable", refuse)
+    assert find_lemma_xy_violation(P3, 3) == (frozenset({0}), frozenset({2}))
+    assert find_lemma_xy_violation(paw, 3) == (frozenset({3}), frozenset({1}))
+    assert members and all(find_lemma_xy_violation(g, 3) is None for g in members)
 
 
 def test_lemma_xy_violation_at_size_one_is_the_comparable_nonadjacent_pair():

@@ -135,6 +135,17 @@ def test_from_rows_must_be_symmetric_and_loopless():
     assert g.has_edge(0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: from_rows(n, [0] * max(n, 0)), lambda n: from_edges(n, []), empty_graph, complete_graph,
+], ids=["from_rows", "from_edges", "empty_graph", "complete_graph"])
+def test_every_builder_takes_the_vertex_counts_graph6_reads(build):
+    for n in (-1, DEFAULT_VERTEX_CAP + 1):
+        with pytest.raises(ValueError, match=f"vertex count {n} outside 0..{DEFAULT_VERTEX_CAP}"):
+            build(n)
+    g = build(DEFAULT_VERTEX_CAP)
+    assert g.n == DEFAULT_VERTEX_CAP and parse_graph6(to_graph6(g)) == g
+
+
 def test_degree_and_edges():
     assert [C5.degree(v) for v in range(5)] == [2, 2, 2, 2, 2]
     assert C5.edge_count() == 5

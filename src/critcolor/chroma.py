@@ -69,12 +69,17 @@ def _counter(budget: Optional[int | _Budget]) -> Optional[_Budget]:
 
 
 def _max_clique(g: Graph, counter: Optional[_Budget]) -> int:
-    """A maximum clique as a vertex mask (0 for the empty graph), by branch
-    and bound with a greedy colouring bound."""
-    if g.n == 0:
+    """A maximum clique as a vertex mask (0 for the empty graph)."""
+    return _max_clique_in(g.rows, (1 << g.n) - 1, counter)
+
+
+def _max_clique_in(rows: Sequence[int], mask: int, counter: Optional[_Budget]) -> int:
+    """A maximum clique of the subgraph ``mask`` induces (0 if it is empty),
+    by branch and bound with a greedy colouring bound.  On g's rows and the
+    mask V - v it searches ``delete_vertex(g, v)``'s tree, node for node."""
+    if not mask:
         return 0
-    rows = g.rows
-    best, best_set = 1, 1
+    best, best_set = 1, mask & -mask
 
     def greedy_color_order(cand: int) -> list[tuple[int, int]]:
         # order candidates by greedy colour class; the class index bounds
@@ -107,7 +112,7 @@ def _max_clique(g: Graph, counter: Optional[_Budget]) -> int:
                 expand(size + 1, nxt, chosen | 1 << v)
             cand &= ~(1 << v)
 
-    expand(0, (1 << g.n) - 1, 0)
+    expand(0, mask, 0)
     return best_set
 
 

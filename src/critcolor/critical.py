@@ -33,6 +33,7 @@ from .graphs import (
     parse_graph6,
     set_neighborhood_mask,
     to_graph6,
+    with_vertex,
 )
 from .patterns import (
     Embedding,
@@ -64,7 +65,8 @@ def criticality_report(g: Graph, k: int, budget: Optional[int | chroma._Budget] 
 
     One chromatic-number search gives chi, a chi-colouring and a maximum
     clique; each per-vertex chromatic number, chi - 1 or chi, is then
-    decided by ``_keeps_chi``, often with no search at all.  ``budget``
+    decided by ``_keeps_chi``, often with no search at all: later deletions
+    reuse the cliques and colourings found for earlier ones.  ``budget``
     caps the search nodes of the whole report (see ``chroma._Budget``).
     """
     chi, keeps = _deletions(g, k, chroma._counter(budget))
@@ -82,42 +84,64 @@ def _is_critical(g: Graph, k: int) -> bool:
 
 def _deletions(g: Graph, k: int, counter: Optional[chroma._Budget]) -> tuple[int, Iterator[bool]]:
     """chi(g) and, lazily in vertex order, whether each vertex deletion
-    keeps it (``_keeps_chi``), from one chromatic-number search."""
+    keeps it (``_keeps_chi``), from one chromatic-number search.  Later
+    deletions reuse the chi-cliques and the (chi - 1)-colourings of g - w
+    found for earlier ones, pooled for this call only."""
     if k < 1:
         raise ValueError("k must be at least 1")
     chi, col, clique = chroma._chromatic(g, counter)
     classes = col._class_masks()
-    return chi, (_keeps_chi(g, v, chi, classes, clique, counter) for v in range(g.n))
+    settled = [((1 << g.n) - 1) & ~clique if clique.bit_count() == chi else 0, 0]
+    return chi, (_keeps_chi(g, v, chi, classes, settled, counter) for v in range(g.n))
 
 
 def _keeps_chi(
-    g: Graph, v: int, chi: int, classes: list[int], clique: int, counter: Optional[chroma._Budget]
+    g: Graph, v: int, chi: int, classes: list[int], settled: list[int], counter: Optional[chroma._Budget]
 ) -> bool:
     """Whether chi(g - v) = chi rather than chi - 1, given chi = chi(g) > 0,
-    the colour classes of a chi-colouring of g and a clique of g (masks).
+    the colour classes of a chi-colouring of g, and the pools of
+    ``_deletions`` as the vertices they settle (masks it grows): settled[0]
+    those a pooled chi-clique misses, settled[1] each u that is the only
+    neighbour of w in a class C of a pooled (chi - 1)-colouring of g - w.
+    The first step that applies decides:
 
-    A chi-clique that misses v says chi with no search; so does, for chi - 1,
-    moving every other vertex of v's class greedily into another class.
-    Else a chi-clique in g - v says chi, and one (chi - 1)-colourability
-    search decides: its first descent is the DSATUR greedy of g - v, so a
-    greedy that fits is found there at no extra cost.
-    """
-    big_clique = clique.bit_count() == chi
-    if big_clique and not clique >> v & 1:
+    1. v in settled[0]: chi, as the clique lies in g - v;
+    2. v in settled[1]: chi - 1, as deleting v and putting w into C
+       (chi - 1)-colours g - v;
+    3. the other vertices of v's class move greedily to other classes: chi - 1;
+    4. if settled[0] is not empty (a chi-clique is pooled; step 3 decides on
+       K_chi), a clique search of g on V - v that finds a chi-clique: chi;
+    5. a (chi - 1)-colourability search of g - v, whose first descent is
+       the DSATUR greedy of g - v: a greedy that fits costs nothing extra.
+    Steps 3-5 pool the witness they find."""
+    bit = 1 << v
+    if settled[0] & bit:
         return True
-    own = next(c for c in classes if c >> v & 1)
-    others = [c for c in classes if c != own]
-    for u in iter_bits(own & ~(1 << v)):
-        slot = next((i for i, c in enumerate(others) if not g.rows[u] & c), None)
-        if slot is None:
-            break
-        others[slot] |= 1 << u
-    else:
+    if settled[1] & bit:
         return False
-    rest = delete_vertex(g, v)
-    if big_clique and chroma.clique_number(rest, counter) == chi:
-        return True
-    return chroma.is_k_colorable(rest, chi - 1, counter) is None
+    own = next(c for c in classes if c & bit)
+    moved: Optional[list[int]] = [c for c in classes if c != own]
+    for u in iter_bits(own & ~bit):
+        slot = next((i for i, c in enumerate(moved) if not g.rows[u] & c), None)
+        if slot is None:
+            moved = None
+            break
+        moved[slot] |= 1 << u
+    if moved is None:
+        if settled[0]:
+            found = chroma._max_clique_in(g.rows, ((1 << g.n) - 1) ^ bit, counter)
+            if found.bit_count() == chi:
+                settled[0] |= ((1 << g.n) - 1) & ~found
+                return True
+        col = chroma.is_k_colorable(delete_vertex(g, v), chi - 1, counter)
+        if col is None:
+            return True
+        moved = [with_vertex(c, v) for c in col._class_masks()]
+    for c in moved:
+        alone = g.rows[v] & c
+        if not alone & (alone - 1):
+            settled[1] |= alone  # step 2 for v's one neighbour in c
+    return False
 
 
 def _extract_with_kept(
@@ -163,14 +187,18 @@ def find_lemma_xy_violation(
     rows = g.rows
     memo: dict[tuple[int, int], bool] = {}
     xs_all = sorted(c for size in range(1, size_cap + 1) for c in combinations(range(g.n), size))
+    prepared: dict[tuple[int, ...], tuple[int, list[int]]] = {}  # each X's mask and Y candidates
     for total in range(2, 2 * size_cap + 1):
         for xs in xs_all:
             sy = total - len(xs)
             if not 1 <= sy <= size_cap:
                 continue
-            xmask = mask_of(xs)
-            nx_mask = set_neighborhood_mask(g, xmask)
-            ys_from = [v for v in range(g.n) if not (rows[v] | 1 << v) & xmask and not nx_mask & ~rows[v]]
+            if sy == 1:  # the first total X admits
+                xmask = mask_of(xs)
+                nx_mask = set_neighborhood_mask(g, xmask)
+                ys_from = [v for v in range(g.n) if not (rows[v] | 1 << v) & xmask and not nx_mask & ~rows[v]]
+                prepared[xs] = xmask, ys_from
+            xmask, ys_from = prepared[xs]
             for ys in combinations(ys_from, sy):
                 ymask = mask_of(ys)
                 chi_y = next(c for c in range(1, sy + 1) if chroma._colourable(rows, ymask, c, memo))

@@ -505,6 +505,13 @@ def without_vertex(mask: int, v: int) -> int:
     return mask & low | mask >> 1 & ~low
 
 
+def with_vertex(mask: int, v: int) -> int:
+    """The inverse of ``without_vertex``: a vertex mask of the graph minus
+    vertex v renumbered for the graph, with bit v clear."""
+    low = (1 << v) - 1
+    return mask & low | (mask & ~low) << 1
+
+
 def delete_vertex(g: Graph, v: int) -> Graph:
     if not 0 <= v < g.n:
         raise ValueError("vertex outside graph")

@@ -10,6 +10,8 @@ from critcolor.chroma import (
     Coloring,
     _Budget,
     _counter,
+    _max_clique,
+    _max_clique_in,
     chromatic_number,
     clique_number,
     is_k_colorable,
@@ -20,11 +22,13 @@ from critcolor.graphs import (
     Graph,
     complement,
     complete_graph,
+    delete_vertex,
     disjoint_union,
     empty_graph,
     from_edges,
     iter_bits,
     parse_graph6,
+    with_vertex,
 )
 
 from conftest import graphs, random_graph
@@ -370,6 +374,22 @@ def test_a_kept_clique_never_answers_a_capped_call():
     with pytest.raises(BudgetExhausted):
         clique_number(g, 1)
     assert nodes_spent(lambda b: clique_number(g, b)) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_a_mask_clique_search_is_the_search_of_the_deleted_graph(g):
+    # on g's rows and the mask V - v, the clique search walks the tree it
+    # walks on g - v: the same clique, lifted, for the same nodes
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        rest = delete_vertex(g, v)
+        in_mask = _max_clique_in(g.rows, full & ~(1 << v), None)
+        assert in_mask == with_vertex(_max_clique(rest, None), v)
+        spent = nodes_spent(lambda b: _max_clique_in(g.rows, full & ~(1 << v), b))
+        assert spent == nodes_spent(lambda b: _max_clique(rest, b))
+    assert _max_clique_in(g.rows, full, None) == _max_clique(g, None)
+    assert _max_clique_in(g.rows, 0, None) == 0
 
 
 @pytest.mark.parametrize("g", [C5, GROTZSCH, random_graph(10, 0.5, seed=4)])

@@ -36,6 +36,7 @@ from critcolor.critical import (
     write_critdb,
 )
 from critcolor.graphs import (
+    Graph,
     bits_of,
     complement,
     complete_graph,
@@ -44,6 +45,7 @@ from critcolor.graphs import (
     empty_graph,
     from_edges,
     induced_subgraph,
+    mask_of,
     parse_graph6,
     to_graph6,
 )
@@ -62,7 +64,7 @@ from critcolor.patterns import (
 
 from conftest import graphs, random_graph
 from oracles import naive_chromatic, naive_is_isomorphic, naive_is_k_colorable
-from test_chroma import GREEDY_OVERSHOOTS, least_budget, nodes_spent
+from test_chroma import GREEDY_OVERSHOOTS, GROTZSCH, least_budget, nodes_spent
 
 CRITDB_K4_P4P1 = Path(__file__).parent / "data" / "critdb_k4_n7_p4p1.txt"
 
@@ -70,6 +72,7 @@ C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 W5 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])
+C7 = from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
 GREEDY_NEEDS_4 = parse_graph6(GREEDY_OVERSHOOTS[0])
 
@@ -114,10 +117,14 @@ def test_report_agrees_with_the_oracle(g, shift):
 
 def test_report_agrees_with_the_oracle_on_every_small_graph():
     # each overshoot plus a universal vertex: on three of them, 14 deletions
-    # leave a graph whose greedy needs chi colours, and the search decides
+    # leave a graph whose greedy needs chi colours, and the search decides;
+    # on 10-11 vertices a report has more deletions for the witnesses found
+    # for earlier ones to settle
     coned = [complement(disjoint_union(complement(parse_graph6(text)), empty_graph(1)))
              for text in GREEDY_OVERSHOOTS]
-    for g in [*enumerate_up_to(6), *coned]:
+    rng = random.Random(29)
+    seeded = [random_graph(rng.randint(10, 11), 0.5, rng.randrange(2**30)) for _ in range(40)]
+    for g in [*enumerate_up_to(7), *coned, *seeded]:
         _assert_report_matches_oracle(g, max(1, naive_chromatic(g)))
 
 
@@ -143,6 +150,20 @@ def test_report_colours_no_deleted_graph_greedily(petersen, monkeypatch):
         calls.clear()
         criticality_report(g, k)
         assert len(calls) == 1 and calls[0] is g
+
+
+@pytest.mark.parametrize("g, k, spent, searches", [(C7, 3, 23, 3), (W5, 4, 15, 2), (GROTZSCH, 4, 69, 5)])
+def test_later_deletions_reuse_earlier_witnesses(g, k, spent, searches, monkeypatch):
+    # a chi-clique or (chi - 1)-colouring found for one deletion settles
+    # later ones, which then spend no nodes and run no search
+    assert nodes_spent(lambda b: criticality_report(g, k, b)) == spent
+    fresh = Graph(g.n, g.rows)
+    chroma._greedy(fresh)  # the greedy colouring, kept, runs no search below
+    calls = []
+    real = chroma.is_k_colorable
+    monkeypatch.setattr(chroma, "is_k_colorable", lambda *a: calls.append(a) or real(*a))
+    assert criticality_report(fresh, k).verdict
+    assert len(calls) == searches
 
 
 def test_the_verdict_helper_equals_the_report():
@@ -281,6 +302,16 @@ def brute_lemma_xy_violation(g, size_cap):
 @given(graphs(max_n=8), st.integers(1, 2))
 def test_lemma_xy_violation_is_the_least_pair_of_the_brute_force(g, size_cap):
     assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
+
+
+def test_the_lemma_search_computes_each_x_once(monkeypatch):
+    import critcolor.critical as critical
+
+    calls = []
+    real = critical.set_neighborhood_mask
+    monkeypatch.setattr(critical, "set_neighborhood_mask", lambda g, m: calls.append(m) or real(g, m))
+    assert find_lemma_xy_violation(complete_graph(12), 3) is None
+    assert sorted(calls) == sorted(mask_of(xs) for size in (1, 2, 3) for xs in combinations(range(12), size))
 
 
 def test_lemma_xy_violation_is_the_least_pair_on_every_small_graph():

@@ -30,6 +30,8 @@ from critcolor.graphs import (
     set_neighborhood_mask,
     to_graph6,
     validate,
+    with_vertex,
+    without_vertex,
 )
 
 from conftest import graphs, random_graph
@@ -262,6 +264,15 @@ def test_delete_vertex():
 def test_delete_vertex_is_the_induced_subgraph_on_the_rest(g):
     for v in range(g.n):
         assert delete_vertex(g, v) == induced_subgraph(g, set(range(g.n)) - {v})
+
+
+@given(st.integers(min_value=0, max_value=2**12 - 1), st.integers(min_value=0, max_value=11))
+def test_with_vertex_undoes_without_vertex(mask, v):
+    # a mask of g - v lifts to g with bit v clear, and renumbers back
+    assert without_vertex(with_vertex(mask, v), v) == mask
+    assert with_vertex(without_vertex(mask, v), v) == mask & ~(1 << v)
+    assert not with_vertex(mask, v) >> v & 1
+    assert with_vertex(0b1011, 1) == 0b10101 and with_vertex(0b1011, 0) == 0b10110
 
 
 @given(graphs(max_n=9))

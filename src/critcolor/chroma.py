@@ -68,11 +68,6 @@ def _counter(budget: Optional[int | _Budget]) -> Optional[_Budget]:
     return budget if budget is None or isinstance(budget, _Budget) else _Budget(budget)
 
 
-def _max_clique(g: Graph, counter: Optional[_Budget]) -> int:
-    """A maximum clique as a vertex mask (0 for the empty graph)."""
-    return _max_clique_in(g.rows, (1 << g.n) - 1, counter)
-
-
 def _max_clique_in(rows: Sequence[int], mask: int, counter: Optional[_Budget]) -> int:
     """A maximum clique of the subgraph ``mask`` induces (0 if it is empty),
     by branch and bound with a greedy colouring bound.  On g's rows and the
@@ -117,14 +112,14 @@ def _max_clique_in(rows: Sequence[int], mask: int, counter: Optional[_Budget]) -
 
 
 def _clique(g: Graph, counter: Optional[_Budget]) -> int:
-    """``_max_clique``, kept on the graph's instance dict at the first
-    uncapped call, as ``Graph.__hash__`` keeps the hash.  A capped call
+    """A maximum clique of g as a vertex mask (0 for the empty graph), kept
+    on the graph's instance dict at the first uncapped call.  A capped call
     never reads or writes the kept mask, so it spends what it always did."""
     if counter is not None:
-        return _max_clique(g, counter)
+        return _max_clique_in(g.rows, (1 << g.n) - 1, counter)
     kept = g.__dict__.get("_clique")
     if kept is None:
-        kept = g.__dict__["_clique"] = _max_clique(g, None)
+        kept = g.__dict__["_clique"] = _max_clique_in(g.rows, (1 << g.n) - 1, None)
     return kept
 
 
@@ -162,7 +157,6 @@ def is_k_colorable(
         return None  # an uncapped search refuted this k, or a larger one
     rows = g.rows
     n = g.n
-    k = min(k, n)  # a colouring never opens more colours than vertices
     order = sorted(range(n), key=lambda v: -rows[v].bit_count())
     colour_of = [0] * n
 
@@ -234,8 +228,6 @@ def _chromatic(
     clique = _clique(g, counter)
     lower = clique.bit_count()
     greedy = _greedy(g)
-    if greedy.palette_size == lower:
-        return lower, greedy, clique
     for k in range(lower, greedy.palette_size):
         col = is_k_colorable(g, k, counter)
         if col is not None:

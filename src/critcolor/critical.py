@@ -185,6 +185,7 @@ def find_lemma_xy_violation(
         raise ValueError("size_cap must be at least 1")
     size_cap = min(size_cap, g.n)  # no side is larger; a larger cap costs time
     rows = g.rows
+    full = (1 << g.n) - 1
     memo: dict[tuple[int, int], bool] = {}
     xs_all = sorted(c for size in range(1, size_cap + 1) for c in combinations(range(g.n), size))
     prepared: dict[tuple[int, ...], tuple[int, list[int]]] = {}  # each X's mask and Y candidates
@@ -196,7 +197,7 @@ def find_lemma_xy_violation(
             if sy == 1:  # the first total X admits
                 xmask = mask_of(xs)
                 nx_mask = set_neighborhood_mask(g, xmask)
-                ys_from = [v for v in range(g.n) if not (rows[v] | 1 << v) & xmask and not nx_mask & ~rows[v]]
+                ys_from = [v for v in iter_bits(full & ~(xmask | nx_mask)) if not nx_mask & ~rows[v]]
                 prepared[xs] = xmask, ys_from
             xmask, ys_from = prepared[xs]
             for ys in combinations(ys_from, sy):

@@ -67,13 +67,7 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def __hash__(self) -> int:  # cached at the first call, not at construction
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            return self.__dict__.setdefault("_hash", hash((self.n, self.rows)))
-
-    def __reduce__(self):  # the fields only, never the hash or what chroma keeps
+    def __reduce__(self):  # the fields only, never what chroma keeps
         return Graph, (self.n, self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,7 +10,6 @@ from critcolor.chroma import (
     Coloring,
     _Budget,
     _counter,
-    _max_clique,
     _max_clique_in,
     chromatic_number,
     clique_number,
@@ -169,12 +168,6 @@ def least_budget(search) -> int:
             return budget
         except BudgetExhausted:
             budget += 1
-
-
-GROTZSCH = from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-                     + [(5 + i, (i + 1) % 5) for i in range(5)]
-                     + [(5 + i, (i - 1) % 5) for i in range(5)]
-                     + [(5 + i, 10) for i in range(5)])
 
 
 @pytest.mark.parametrize("g", [C5, GROTZSCH])
@@ -385,10 +378,10 @@ def test_a_mask_clique_search_is_the_search_of_the_deleted_graph(g):
     for v in range(g.n):
         rest = delete_vertex(g, v)
         in_mask = _max_clique_in(g.rows, full & ~(1 << v), None)
-        assert in_mask == with_vertex(_max_clique(rest, None), v)
+        rest_full = (1 << rest.n) - 1
+        assert in_mask == with_vertex(_max_clique_in(rest.rows, rest_full, None), v)
         spent = nodes_spent(lambda b: _max_clique_in(g.rows, full & ~(1 << v), b))
-        assert spent == nodes_spent(lambda b: _max_clique(rest, b))
-    assert _max_clique_in(g.rows, full, None) == _max_clique(g, None)
+        assert spent == nodes_spent(lambda b: _max_clique_in(rest.rows, rest_full, b))
     assert _max_clique_in(g.rows, 0, None) == 0
 
 

@@ -299,7 +299,7 @@ def brute_lemma_xy_violation(g, size_cap):
 
 
 @settings(max_examples=150, deadline=None)
-@given(graphs(max_n=8), st.integers(1, 2))
+@given(graphs(max_n=8), st.integers(1, 3))
 def test_lemma_xy_violation_is_the_least_pair_of_the_brute_force(g, size_cap):
     assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
 
@@ -316,7 +316,7 @@ def test_the_lemma_search_computes_each_x_once(monkeypatch):
 
 def test_lemma_xy_violation_is_the_least_pair_on_every_small_graph():
     for g in [empty_graph(0), *enumerate_up_to(6)]:
-        for size_cap in (1, 2):
+        for size_cap in (1, 2, 3):
             assert find_lemma_xy_violation(g, size_cap) == brute_lemma_xy_violation(g, size_cap)
 
 

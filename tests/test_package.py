@@ -336,11 +336,11 @@ def test_dict_guard_finds_every_way_to_write_an_instance_dict(tmp_path):
         "mod.py:outer.inner", "mod.py:poke", "mod.py:store"]
 
 
-def test_only_the_hash_and_the_kept_values_write_a_graphs_dict():
+def test_only_the_kept_values_write_a_graphs_dict():
     # a value kept on a graph must be exact and uncapped (see chroma._clique)
     assert instance_dict_writers(Path(critcolor.__file__).parent) == [
         "chroma.py:_clique", "chroma.py:_greedy", "chroma.py:is_k_colorable",
-        "graphs.py:Graph.__hash__", "patterns.py:find_induced_subgraph"]
+        "patterns.py:find_induced_subgraph"]
 
 
 def graph6_error_catchers(package_dir: Path) -> list[str]:

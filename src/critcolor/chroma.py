@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, bits_of
+from .graphs import Graph
 
 
 class BudgetExhausted(RuntimeError):
@@ -25,9 +25,6 @@ class Coloring:
 
     palette_size: int
     assignment: tuple[int, ...]
-
-    def classes(self) -> list[frozenset[int]]:
-        return [bits_of(m) for m in self._class_masks()]
 
     def _class_masks(self) -> list[int]:
         """The colour classes as vertex masks, colour 1 first."""

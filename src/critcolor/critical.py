@@ -12,6 +12,7 @@ nonadjacent pair with nested neighbourhoods.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import InitVar, dataclass
@@ -187,19 +188,19 @@ def find_lemma_xy_violation(
     rows = g.rows
     full = (1 << g.n) - 1
     memo: dict[tuple[int, int], bool] = {}
-    xs_all = sorted(c for size in range(1, size_cap + 1) for c in combinations(range(g.n), size))
-    prepared: dict[tuple[int, ...], tuple[int, list[int]]] = {}  # each X's mask and Y candidates
+    by_size: list[list[tuple]] = [[]]  # per |X|: (X, its mask, its Y candidates) for X with any
     for total in range(2, 2 * size_cap + 1):
-        for xs in xs_all:
-            sy = total - len(xs)
-            if not 1 <= sy <= size_cap:
-                continue
-            if sy == 1:  # the first total X admits
+        if total <= size_cap + 1:  # the first total that admits |X| = total - 1
+            by_size.append([])
+            for xs in combinations(range(g.n), total - 1):
                 xmask = mask_of(xs)
                 nx_mask = set_neighborhood_mask(g, xmask)
                 ys_from = [v for v in iter_bits(full & ~(xmask | nx_mask)) if not nx_mask & ~rows[v]]
-                prepared[xs] = xmask, ys_from
-            xmask, ys_from = prepared[xs]
+                if ys_from:
+                    by_size[-1].append((xs, xmask, ys_from))
+        # lexicographic X order across sizes merges each size's lexicographic list
+        for xs, xmask, ys_from in heapq.merge(*by_size[max(1, total - size_cap):]):
+            sy = total - len(xs)
             for ys in combinations(ys_from, sy):
                 ymask = mask_of(ys)
                 chi_y = next(c for c in range(1, sy + 1) if chroma._colourable(rows, ymask, c, memo))

@@ -347,22 +347,20 @@ def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
     new vertex's neighbourhood mask alone: drop a child on n vertices below
     minimum degree k - 1 - (n_max - n), extend the (k-1)-colourable ones
     below n_max, which the parent's extendable classes decide, and emit the
-    others that pass the cheap criticality screens.  Parents are
+    others that pass the cheap criticality screens.  The classes and the
+    screens are both made once per parent, before any child.  Parents are
     (k-1)-colourable (nothing else is extended), so a child that is not has
     chromatic number exactly k."""
     need = k + parent.n - n_max  # for the child order n = parent.n + 1
     short = _must_see(parent, need)
     classes = _extendable_classes(parent, k)
-    screen: Optional[Callable[[int], bool]] = None  # made at the first k-chromatic child
+    screen = _emission_screen(parent, k)
 
     def classify_child(n: int, nb: int) -> Optional[str]:
-        nonlocal screen
         if nb.bit_count() < need or short & ~nb:
             return None  # emission asks for k - 1 >= need as well
         if any(not nb & s for s in classes):
             return _EXTEND if n < n_max else None
-        if screen is None:
-            screen = _emission_screen(parent, k)
         return _EMIT if screen(nb) else None
 
     return classify_child

@@ -307,8 +307,6 @@ def _induced_copies(
     orderings of a clique K_k, both directions of a path) are not tried.
     Listing every copy needs them all and skips the constraints.
     """
-    if pattern.n > host.n:
-        return []
     if pattern.n == 0:
         return [()]
     _, where, degs, every, first_mode = _compile_pattern(pattern)

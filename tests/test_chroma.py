@@ -325,11 +325,6 @@ def test_a_huge_k_allocates_by_the_order_of_the_graph():
     assert col is not None and col.palette_size == 3 and is_proper_coloring(C5, col)
 
 
-def test_coloring_classes():
-    col = Coloring(3, (1, 2, 1, 3))
-    assert col.classes() == [frozenset({0, 2}), frozenset({1}), frozenset({3})]
-
-
 def test_is_proper_coloring_rejects():
     g = from_edges(2, [(0, 1)])
     assert not is_proper_coloring(g, Coloring(1, (1, 1)))

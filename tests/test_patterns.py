@@ -379,6 +379,12 @@ def test_find_induced_is_deterministic():
 def test_pattern_larger_than_host():
     assert find_induced(C5, cycle(6)) is None
     assert find_induced(empty_graph(0), path(1)) is None
+    # certify's member scan and the forbidden traces call the search itself,
+    # past find_induced's own order check; budget 0 raises at any node spent
+    c6 = realize(cycle(6))
+    assert find_induced_subgraph(C5, c6, 0) is None
+    assert _induced_copies(C5, c6, 0) == []
+    assert _induced_copies(C5, c6, 0, first=True) == []
 
 
 def test_embedding_is_induced_rejects_wrong_maps():

@@ -99,40 +99,30 @@ def realize_cotree(t: Cotree) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _find_twins(g: Graph, active: int) -> Optional[tuple[bool, int, int]]:
-    """Lexicographically first twin pair in the subgraph on the mask ``active``.
-
-    Returns (is_false_twin, u, v) with u < v.  False twins win over true
-    twins even when a true pair comes earlier in the scan.
-    """
-    first_true: Optional[tuple[int, int]] = None
-    rows = g.rows
-    for u in iter_bits(active):
-        nu = rows[u] & active
-        for v in iter_bits(active & -(2 << u)):  # the active vertices above u
-            nv = rows[v] & active
-            if nu == nv:
-                return True, u, v
-            if first_true is None and nu | 1 << u == nv | 1 << v:
-                first_true = (u, v)
-    if first_true is not None:
-        return False, first_true[0], first_true[1]
-    return None
-
-
 def _eliminations(g: Graph, active: int) -> Optional[list[tuple[bool, int, int]]]:
-    """The twin elimination on the mask ``active``: the first twin pair
-    (u, v), as ``_find_twins`` returns it, drops v, until one vertex is
-    left.  The steps in order, or None if it stalls on an induced P4."""
+    """The twin elimination on the mask ``active``: each step drops v of
+    the lexicographically first twin pair (u, v), u < v, and records
+    (is_false_twin, u, v), until one vertex is left.  False twins win over
+    true twins.  Twins are found by keying the active vertices by their
+    open, then closed, rows.  The steps in order, or None if it stalls on
+    an induced P4."""
     if not active:
         raise ValueError("the empty graph has no cotree")
-    steps = []
+    rows, steps = g.rows, []
     while active & (active - 1):
-        hit = _find_twins(g, active)
-        if hit is None:
+        for closed in (0, 1):  # false twins share an open row, true twins a closed one
+            least: dict[int, int] = {}  # each row's least vertex
+            hit: Optional[tuple[int, int]] = None
+            for v in iter_bits(active):
+                u = least.setdefault(rows[v] & active | closed << v, v)
+                if u < v and (hit is None or u < hit[0]):
+                    hit = (u, v)
+            if hit is not None:
+                break
+        else:
             return None
-        steps.append(hit)
-        active &= ~(1 << hit[2])
+        steps.append((not closed, *hit))
+        active ^= 1 << hit[1]
     return steps
 
 

@@ -261,15 +261,15 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...], 
 
 def _tail_counts(steps: tuple) -> tuple[int, ...]:
     """For each position i, the number of positions j >= i whose constraints
-    imply each of i's: the same adjacency kind, and for an ``_ABOVE``, a
-    chain of ``_ABOVE``s from j down to its position.  Their images are
-    distinct vertices of i's candidate set (K4: 4, 3, 2, 1)."""
-    below = []  # the positions each image lies above, through chains; one _ABOVE at most
+    imply each of i's: the same adjacency to every position below i, and a
+    chain of ``_ABOVE``s that contains i's (chains are paths).  Their images
+    are distinct vertices of i's candidate set (K4: 4, 3, 2, 1)."""
+    below, seen = [], []  # the positions each image lies above, through chains, and sees
     for constraints in steps:
-        below.append(sum(1 << i | below[i] for i, kind in constraints if kind == _ABOVE))
-    implies = [[all(below[j] >> p & 1 if kind == _ABOVE else (p, kind) in steps[j] for p, kind in steps[i])
-                for j in range(i, len(steps))] for i in range(len(steps))]
-    return tuple(map(sum, implies))
+        below.append(sum(1 << p | below[p] for p, kind in constraints if kind == _ABOVE))
+        seen.append(sum(1 << p for p, kind in constraints if kind == _ADJACENT))
+    return tuple(sum(not (seen[i] ^ seen[j]) & ((1 << i) - 1) and not below[i] & ~below[j]
+                     for j in range(i, len(steps))) for i in range(len(steps)))
 
 
 @lru_cache(maxsize=8)

@@ -221,6 +221,8 @@ def test_stdin_malformed_line_names_the_line(capsys, monkeypatch):
 def test_budget_flag(capsys):
     assert run(["chi", "--budget", "1", C5]) == 2
     assert "budget exhausted" in capsys.readouterr().err
+    assert run(["chi", "--budget", "abc", "Dhc"]) == 2
+    assert "must be a nonnegative node count, got 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

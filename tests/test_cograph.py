@@ -1,4 +1,6 @@
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -302,4 +304,39 @@ def test_cotrees_and_pairs_equal_the_reference_on_every_cograph_up_to_8():
                 assert find_anticomplete_pair(g) == expected
             checked += 1
     assert checked == 809
+    # every graph up to 7, so that the elimination also stalls, on the non-cographs
+    stalled = 0
+    for g in enumerate_up_to(7):
+        tree, expected = recognize(g), reference_recognize(g)
+        assert (tree is None) == (expected is None)
+        if tree is None:
+            stalled += 1
+        else:
+            assert render_cotree(tree) == render_cotree(expected)
+    assert stalled == 1252 - 287  # 1,252 graphs up to 7, 287 of them cographs
+
+
+def _random_cotree(rng, vertices, join):
+    """A cotree on the given leaves, joins and unions alternating from
+    ``join`` down, each internal node with two to four children."""
+    if len(vertices) == 1:
+        return Leaf(vertices[0])
+    cuts = sorted(rng.sample(range(1, len(vertices)), rng.randint(1, min(3, len(vertices) - 1))))
+    parts = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, len(vertices)])]
+    return (JoinNode if join else UnionNode)(tuple(_random_cotree(rng, p, not join) for p in parts))
+
+
+def test_cotrees_and_pairs_of_a_512_vertex_cograph_are_cheap():
+    # twins are found by keying rows; a scan over vertex pairs at each of
+    # the 511 elimination steps took about 3 s on 2 cores
+    rng = random.Random(512)
+    vertices = list(range(512))
+    rng.shuffle(vertices)
+    g = realize_cotree(_random_cotree(rng, vertices, True))
+    for search in (recognize, find_anticomplete_pair):
+        start = time.perf_counter()
+        found = search(g)
+        assert time.perf_counter() - start < 1.0
+        assert found is not None
+    assert realize_cotree(recognize(g)) == g
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from pathlib import Path
@@ -686,6 +687,15 @@ def test_the_degree_rule_keeps_every_member(k, n_max, family):
     for _, _, emitted in _walk(n_max, specs, lambda parent: classifier_without_degree_rule(parent, k, n_max)):
         want.update((canon, g) for canon, g in emitted.items() if criticality_report(g, k).verdict)
     assert list(enumerate_critical(k, n_max, specs).members) == list(want)
+
+
+def test_the_four_critical_p4_plus_2p1_free_graphs_up_to_9_are_pinned():
+    # the paper's family at l = 2: the 141 members, pinned by the sha256 of
+    # their canonical graph6 lines
+    members = enumerate_critical(4, 9, [parse_pattern("P4+2P1")]).members
+    assert len(members) == 141
+    digest = hashlib.sha256("\n".join(members).encode()).hexdigest()
+    assert digest == "31d16872a4424685489d282f1ffc1674f6c4dfef699721166f24f2479b751f06"
 
 
 def test_trace_tables_are_built_only_for_parents_that_extend_a_child(monkeypatch):

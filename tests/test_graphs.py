@@ -86,6 +86,10 @@ def test_graph6_short_form_boundary():
         ("D~}", 2, "nonzero padding"),
         ("~?@c", 4, "need 825 adjacency bytes"),
         ("A\u00e9", 1, "non-ASCII"),
+        ("~~????????", 1, "above 258047"),
+        ("~?", 2, "truncated long-form"),
+        ("~?\x7f?", 2, "outside graph6 range"),
+        ("~??_", 1, "below 63"),
     ],
 )
 def test_graph6_errors_carry_byte_offsets(text, offset, needle):
@@ -132,6 +136,10 @@ def test_from_rows_must_be_symmetric_and_loopless():
         from_rows(2, [0b10, 0b00])
     with pytest.raises(ValueError):
         from_rows(1, [0b1])
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        from_rows(2, (1,))
+    with pytest.raises(ValueError, match=r"row 0 has bits outside 0\.\.1"):
+        from_rows(2, (4, 0))
     g = from_rows(2, [0b10, 0b01])
     validate(g)
     assert g.has_edge(0, 1)

@@ -680,6 +680,15 @@ def test_compiling_a_large_clique_is_cheap():
     assert _above(clique(12)) == [()] + [(i,) for i in range(11)]
 
 
+def test_compiling_p4_plus_200_isolated_vertices_is_cheap():
+    # each tail count compares two positions' masks, not their constraint lists
+    pattern = realize(plus_isolated(path(4), 200))
+    start = time.perf_counter()
+    *_, (_, every_tails), (_, first_tails) = _compile_pattern.__wrapped__(pattern)
+    assert time.perf_counter() - start < 1.0
+    assert every_tails[4:] == first_tails[4:] == tuple(range(200, 0, -1))
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------

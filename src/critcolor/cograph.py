@@ -18,11 +18,8 @@ from .chroma import Coloring
 from .graphs import (
     Graph,
     bits_of,
-    is_anticomplete_between,
-    is_complete_between,
     is_connected,
     iter_bits,
-    mask_of,
     set_neighborhood_mask,
 )
 
@@ -214,22 +211,19 @@ def find_anticomplete_pair(g: Graph) -> AnticompletePair:
         raise NotCographError("graph has an induced four-vertex path")
 
     first = next(i for i, (false_twin, _, _) in enumerate(steps) if false_twin)
-    x, y = {steps[first][1]}, {steps[first][2]}
-    for _, u, v in reversed(steps[:first]):
-        if u in x:
-            x.add(v)
-        elif u in y:
-            y.add(v)
+    x, y = 1 << steps[first][1], 1 << steps[first][2]
+    for _, u, v in reversed(steps[:first]):  # v joins its twin u's side, if any
+        x |= (x >> u & 1) << v
+        y |= (y >> u & 1) << v
 
-    w = bits_of(set_neighborhood_mask(g, mask_of(x)))
+    w = set_neighborhood_mask(g, x)
     ok = (
         x and y and not x & y
-        and is_anticomplete_between(g, x, y)
-        and w == bits_of(set_neighborhood_mask(g, mask_of(y)))
+        and not w & y  # X is anticomplete to Y: N(X) misses Y
+        and w == set_neighborhood_mask(g, y)
         and w
-        and is_complete_between(g, x, w)
-        and is_complete_between(g, y, w)
+        and not any(w & ~g.rows[v] for v in iter_bits(x | y))  # both complete to W
     )
     if not ok:  # pragma: no cover - guards the construction above
         raise AssertionError("anticomplete pair failed re-verification")
-    return AnticompletePair(frozenset(x), frozenset(y), w)
+    return AnticompletePair(bits_of(x), bits_of(y), bits_of(w))

@@ -172,14 +172,15 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - start > nbytes:
         raise Graph6Error("trailing garbage after adjacency bits", start + nbytes)
-    body = data[start:]
-    for i, c in enumerate(body):
+    bits = 0  # six bits a byte, most significant first
+    for i, c in enumerate(data[start:], start):
         if not 63 <= c <= 126:
-            raise Graph6Error(f"character {c!r} outside graph6 range 63..126", start + i)
+            raise Graph6Error(f"character {c!r} outside graph6 range 63..126", i)
+        bits = bits << 6 | (c - 63)
     pad = 6 * nbytes - nbits
-    if nbytes and (body[-1] - 63) & ((1 << pad) - 1):
+    if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", start + nbytes - 1)
-    return Graph(n, _rows_from_bits(n, _body_bits(body, nbits)))
+    return Graph(n, _rows_from_bits(n, bits >> pad))
 
 
 def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
@@ -193,15 +194,6 @@ def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
             yield parse_graph6(line)
         except Graph6Error as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-
-
-def _body_bits(body: bytes, nbits: int) -> int:
-    """The upper-triangle bit-string of a graph6 body: six bits a byte, most
-    significant first, with the padding dropped.  Bytes are not checked."""
-    bits = 0
-    for c in body:
-        bits = bits << 6 | (c - 63)
-    return bits >> (6 * len(body) - nbits)
 
 
 def _rows_from_bits(n: int, bits: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from itertools import chain, groupby
 from typing import Iterable, Optional
 
 from .chroma import _Budget, _clique, _counter
-from .graphs import DEFAULT_VERTEX_CAP, Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, mask_of
+from .graphs import DEFAULT_VERTEX_CAP, Graph, _canonical_labeling, _orbit, disjoint_union, from_edges, iter_bits, mask_of
 
 # The most parts parse_pattern and plus_isolated give a union, checked before
 # a part is built: eight times the largest order a graph may have.
@@ -226,12 +226,13 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...], 
     canonical labelling (``graphs._canonical_labeling``).  Let H_i be the
     group generated by those that fix positions 0..i-1.  The image of
     position j lies ``_ABOVE`` that of every earlier position i whose orbit
-    under H_i contains j.  Only the last such i is kept.  For i < i' that
-    both qualify, H_i' lies inside H_i, so j is in the orbit of i' under H_i
-    as well; orbits do not overlap, so i' is in the orbit of i, lies above
-    it, and the kept constraint implies the others (K_k and l isolated
-    vertices get one ascending chain).  See ``_induced_copies`` for why the
-    first copy meets every constraint.
+    under H_i contains j.  Only the last such i is kept: a walk of the
+    positions overwrites j's, narrowing the generators to H_(i+1) after i.
+    For i < i' that both qualify, H_i' lies inside H_i, so j is in the orbit
+    of i' under H_i as well; orbits do not overlap, so i' is in the orbit of
+    i, lies above it, and the kept constraint implies the others (K_k and l
+    isolated vertices get one ascending chain).  See ``_induced_copies`` for
+    why the first copy meets every constraint.
 
     The generators that fix a prefix need not generate the whole stabiliser
     of it, so an orbit under H_i can be smaller than the orbit under the
@@ -249,14 +250,14 @@ def _compile_pattern(pattern: Graph) -> tuple[tuple[int, ...], tuple[int, ...], 
         for i, p in enumerate(order)
     )
     gens = _canonical_labeling(pattern)[2]
-    orbits = [_orbit(v, [p for p in gens if all(p[f] == f for f in order[:i])]) for i, v in enumerate(order)]
-    first = tuple(
-        steps + tuple((i, _ABOVE) for i in reversed(range(j)) if orbits[i] >> order[j] & 1)[:1]
-        for j, steps in enumerate(every)
-    )
-    degs = tuple(pattern.degree(v) for v in order)
     where = tuple(sorted(range(pattern.n), key=order.__getitem__))
-    return order, where, degs, (every, _tail_counts(every)), (first, _tail_counts(first))
+    first = list(every)
+    for i, v in enumerate(order):  # gens: the generators of H_i
+        for u in iter_bits(_orbit(v, gens) & ~(1 << v)):
+            first[where[u]] = every[where[u]] + ((i, _ABOVE),)
+        gens = [p for p in gens if p[v] == v]
+    degs = tuple(pattern.degree(v) for v in order)
+    return order, where, degs, (every, _tail_counts(every)), (tuple(first), _tail_counts(first))
 
 
 def _tail_counts(steps: tuple) -> tuple[int, ...]:

@@ -84,6 +84,8 @@ def test_graph6_short_form_boundary():
         ("C\x7f", 1, "outside graph6 range"),
         ("D~{x", 3, "trailing garbage"),
         ("D~}", 2, "nonzero padding"),
+        # an out-of-range byte and nonzero padding: the range error comes first
+        ("D>@", 1, "outside graph6 range"),
         ("~?@c", 4, "need 825 adjacency bytes"),
         ("A\u00e9", 1, "non-ASCII"),
         ("~~????????", 1, "above 258047"),

@@ -687,6 +687,8 @@ def test_compiling_p4_plus_200_isolated_vertices_is_cheap():
     *_, (_, every_tails), (_, first_tails) = _compile_pattern.__wrapped__(pattern)
     assert time.perf_counter() - start < 1.0
     assert every_tails[4:] == first_tails[4:] == tuple(range(200, 0, -1))
+    # the isolated vertices form one ascending chain
+    assert _above(plus_isolated(path(4), 200)) == [(), (0,), (), (), ()] + [(i,) for i in range(4, 203)]
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, in
         if c < 1:
             return False
         rest = mask
-        while rest:
+        while rest:  # iter_bits inlined: the sieve and the lemma search end every descent here
             low = rest & -rest
             if rows[low.bit_length() - 1] & mask:
                 return False

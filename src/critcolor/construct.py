@@ -125,8 +125,7 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
     and raises a ValueError that names the family."""
     if k < 3:
         raise ValueError(f"clique parameter must be at least 3, got {k}")
-    if ell < 0:
-        raise ValueError(f"ell must be nonnegative, got {ell}")
+    bound = bound_f(k, ell)
     if check:
         ok, hit = is_free(g, _family(ell, k))
         if not ok:
@@ -138,8 +137,8 @@ def color_kk_free(g: Graph, ell: int, k: int, check: bool = True) -> Coloring:
     else:
         if not is_proper_coloring(g, col):
             problem = "is improper"
-        elif col.palette_size > bound_f(k, ell):
-            problem = f"uses {col.palette_size} colours, above the bound {bound_f(k, ell)}"
+        elif col.palette_size > bound:
+            problem = f"uses {col.palette_size} colours, above the bound {bound}"
         else:
             return col
     if check:  # pragma: no cover - guards the maths

@@ -235,7 +235,7 @@ def mixed_trace_partition(
     by_trace: dict[int, list[int]] = {}
     for v in mixed:
         by_trace.setdefault(g.rows[v] & smask, []).append(v)
-    classes = sorted(by_trace.values(), key=lambda c: c[0])
+    classes = by_trace.values()  # mixed ascends, so each class enters at its least member
     reps = frozenset(c[0] for c in classes)
     return frozenset(mixed), tuple(frozenset(c) for c in classes), reps
 

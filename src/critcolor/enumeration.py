@@ -188,22 +188,22 @@ def _outranked(child: Graph, ties: int) -> bool:
 
 _EXTEND, _EMIT = "extend", "emit"
 
-_ChildClassifier = Callable[[int, int], Optional[str]]
+_ChildClassifier = Callable[[int], Optional[str]]
 
 
 def _walk(
     n_max: int, family: Sequence[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
 ) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
-    ``classify(parent)``; each child on n vertices, given by the new
-    vertex's neighbourhood mask nb, is classified by ``classifier(n, nb)``
-    as _EXTEND, _EMIT or None (dropped) before it is built.  An extended
-    child is then dropped if the parent's trace table (built at its first
-    extended child) marks nb.  A child is built only when its new vertex
-    maximises the canonical-deletion invariant.  Yields, per order n, one
-    canonical representative per class of extended children, which are also
-    the next level's parents, and one per family-free class of emitted
-    children, keyed by canonical form in sorted order."""
+    ``classify(parent)``; each child, given by the new vertex's
+    neighbourhood mask nb, is classified by ``classifier(nb)`` as _EXTEND,
+    _EMIT or None (dropped) before it is built.  An extended child is then
+    dropped if the parent's trace table (built at its first extended child)
+    marks nb.  A child is built only when its new vertex maximises the
+    canonical-deletion invariant.  Yields, per order n, one canonical
+    representative per class of extended children, which are also the next
+    level's parents, and one per family-free class of emitted children,
+    keyed by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns(family, n_max)
@@ -228,7 +228,7 @@ def _walk(
                 d = nb.bit_count()
                 if nb & by_degree.get(d, 0):
                     continue
-                kind = classify_child(n, nb)
+                kind = classify_child(nb)
                 if kind is None:
                     continue
                 if kind == _EXTEND:
@@ -254,12 +254,8 @@ def _walk(
         yield n, parents, {_encode_graph6(n, bits): g for bits, g in candidates if is_free(g, family)[0]}
 
 
-def _always_extend(n: int, nb: int) -> str:
-    return _EXTEND
-
-
 def _extend_all(parent: Graph) -> _ChildClassifier:
-    return _always_extend
+    return lambda nb: _EXTEND
 
 
 def enumerate_graphs(
@@ -347,20 +343,21 @@ def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
     new vertex's neighbourhood mask alone: drop a child on n vertices below
     minimum degree k - 1 - (n_max - n), extend the (k-1)-colourable ones
     below n_max, which the parent's extendable classes decide, and emit the
-    others that pass the cheap criticality screens.  The classes and the
-    screens are both made once per parent, before any child.  Parents are
-    (k-1)-colourable (nothing else is extended), so a child that is not has
-    chromatic number exactly k."""
+    others that pass the cheap criticality screens.  The classes, the screens
+    and whether n < n_max are settled once per parent, before any child.
+    Parents are (k-1)-colourable (nothing else is extended), so a child that
+    is not has chromatic number exactly k."""
     need = k + parent.n - n_max  # for the child order n = parent.n + 1
     short = _must_see(parent, need)
     classes = _extendable_classes(parent, k)
     screen = _emission_screen(parent, k)
+    extend = _EXTEND if parent.n + 1 < n_max else None
 
-    def classify_child(n: int, nb: int) -> Optional[str]:
+    def classify_child(nb: int) -> Optional[str]:
         if nb.bit_count() < need or short & ~nb:
             return None  # emission asks for k - 1 >= need as well
         if any(not nb & s for s in classes):
-            return _EXTEND if n < n_max else None
+            return extend
         return _EMIT if screen(nb) else None
 
     return classify_child

@@ -308,7 +308,9 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     has a twin below it, with the nearest such twin: swaps with the least
     twin would all move it, leaving none once it is fixed, and the
     lex-leader chain of ``plus_isolated(path(4), 3)`` would break.  Root
-    cells that are singletons or twin classes make one leaf, returned at once."""
+    cells that are singletons or twin classes make one leaf, returned at once.
+    A leaf tying the best adds its map untested: no two leaves share a label,
+    and a map found before would have pruned its branch below their fork."""
     n = g.n
     rows = g.rows
     by_degree: dict[int, list[int]] = {}
@@ -354,8 +356,7 @@ def _canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
                 perm = [0] * n
                 for i in range(n):
                     perm[best_label[i]] = label[i]
-                if any(perm[v] != v for v in range(n)) and perm not in gens:
-                    gens.append(perm)
+                gens.append(perm)
             return
         done = seen = 0
         usable: list[list[int]] = []  # the maps fixing ``fixed``, extended as leaves add maps
@@ -454,14 +455,7 @@ def mixed_vertices(g: Graph, s: Iterable[int]) -> frozenset[int]:
     smask = _check_vertices(g, s)
     if not smask:
         raise ValueError("S must be nonempty")
-    out = 0
-    for v in range(g.n):
-        if smask >> v & 1:
-            continue
-        hit = g.rows[v] & smask
-        if hit and hit != smask:
-            out |= 1 << v
-    return bits_of(out)
+    return frozenset(v for v in iter_bits((1 << g.n) - 1 & ~smask) if g.rows[v] & smask not in (0, smask))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

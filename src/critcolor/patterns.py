@@ -328,7 +328,7 @@ def _induced_copies(
         if cand.bit_count() < tails[i]:
             return False
         need = degs[i]
-        while cand:
+        while cand:  # iter_bits inlined: every pattern search places its images here
             low = cand & -cand
             h = low.bit_length() - 1
             cand ^= low

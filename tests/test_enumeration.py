@@ -237,6 +237,27 @@ def test_canonical_labeling_equals_the_reference_search_on_symmetric_graphs(pete
         assert_labels_like_the_reference(permuted(g, 7))
 
 
+def test_the_labelling_finds_each_automorphism_once_and_never_the_identity():
+    # a leaf that ties the best adds its map untested; the orbit pruning alone
+    # keeps the identity and repeats out
+    rng = random.Random(0)
+    hosts = list(enumerate_up_to(7))
+    hosts += [random_graph(rng.randint(8, 12), rng.choice([0.2, 0.5, 0.8]), rng.randrange(2**30)) for _ in range(300)]
+    hosts += [realize(parse_pattern(t)) for t in ("P4+3P1", "K5", "C7", "3K2", "2P2+P1", "broom(4,3)", "broomplus(2)")]
+    assert len(hosts) == 1559
+    searched = 0  # graphs with a map that moves more than two vertices, so no twin swap
+    for g in hosts:
+        gens = _canonical_labeling(g)[2]
+        assert len({tuple(p) for p in gens}) == len(gens), to_graph6(g)
+        for p in gens:
+            assert p != list(range(g.n)), to_graph6(g)
+            assert sorted(p) == list(range(g.n))
+            for u in range(g.n):
+                assert sum(1 << p[w] for w in range(g.n) if g.rows[u] >> w & 1) == g.rows[p[u]]
+        searched += any(sum(p[v] != v for v in range(g.n)) > 2 for p in gens)
+    assert searched == 509
+
+
 def descent_canonical_labeling(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     """``_canonical_labeling`` as it stood before its one-leaf returns:
     every graph, rigid or split by its twins alone, enters ``descend``, which
@@ -586,7 +607,7 @@ def test_extendable_classes_decide_child_colourability(k):
         for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
             colourable = chroma.is_k_colorable(_attach(parent, nb), k - 1) is not None
             assert any(not nb & s for s in classes) == colourable, (to_graph6(parent), nb, k)
-            kind = classify_child(parent.n + 1, nb)
+            kind = classify_child(nb)
             assert (kind == _EXTEND) == colourable
             kinds.add(colourable)
     assert kinds == ({False} if k == 1 else {False, True})
@@ -627,9 +648,9 @@ def test_emission_screen_equals_the_screens_on_the_child(k):
 
 def test_a_colourable_child_is_dropped_at_the_last_order():
     classify_last = _critical_classifier(complete_graph(3), 4, 4)
-    assert classify_last(4, 3) is None
-    assert _critical_classifier(complete_graph(3), 4, 5)(4, 3) == _EXTEND
-    assert classify_last(4, 7) == _EMIT  # K4
+    assert classify_last(3) is None
+    assert _critical_classifier(complete_graph(3), 4, 5)(3) == _EXTEND
+    assert classify_last(7) == _EMIT  # K4
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -649,8 +670,8 @@ def test_the_degree_rule_on_the_mask_is_the_childs_minimum_degree(k):
                 enough = min(row.bit_count() for row in child.rows) >= need
                 assert (nb.bit_count() >= need and not short & ~nb) == enough, (to_graph6(parent), nb, need)
                 # the rule drops the child or leaves its class as it was
-                want = unruled(n, nb) if enough else None
-                assert classify_child(n, nb) == (None if want == _EXTEND and n == n_max else want)
+                want = unruled(nb) if enough else None
+                assert classify_child(nb) == (None if want == _EXTEND and n == n_max else want)
                 outcomes.add((enough, short < 0))
     # below k = 3 no need is above 1, so no parent vertex falls short by two
     assert outcomes == {(True, False), (False, False)} | ({(False, True)} if k > 2 else set())
@@ -661,10 +682,10 @@ def classifier_without_degree_rule(parent, k, n_max):
     classes = _extendable_classes(parent, k)
     screen = None
 
-    def classify_child(n, nb):
+    def classify_child(nb):
         nonlocal screen
         if any(not nb & s for s in classes):
-            return _EXTEND if n < n_max else None
+            return _EXTEND if parent.n + 1 < n_max else None
         if screen is None:
             screen = _emission_screen(parent, k)
         return _EMIT if screen(nb) else None
@@ -735,7 +756,7 @@ def reference_walk(n_max, family, classify):
                 if forbidden[nb]:
                     continue
                 child = _attach(parent, nb)
-                kind = classify_child(n, nb)
+                kind = classify_child(nb)
                 if kind == _EXTEND:
                     canon = canonical_form(child)
                     if canon not in extended:

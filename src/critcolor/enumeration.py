@@ -64,6 +64,7 @@ commute: neither their order nor the orbit pruning changes an output.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .chroma import _colourable
@@ -97,22 +98,29 @@ def canonical_form(g: Graph) -> str:
     return _encode_graph6(g.n, _canonical_labeling(g)[0])
 
 
+@lru_cache(maxsize=None)
+def _masks_from(n: int, floor: int) -> tuple[int, ...]:
+    """The subsets of n vertices with at least ``floor`` members, as ascending masks."""
+    return tuple(mask for mask in range(1 << n) if mask.bit_count() >= floor)
+
+
 def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[int]:
     """The least mask of each orbit of the group the vertex maps ``gens``
     generate, acting on the subsets of n vertices, ascending, over the masks
     of at least ``floor`` vertices.  A vertex map keeps the size of a
     mask, so those orbits are whole and the smaller masks are never mapped."""
-    tables = []  # per generator: images of the low byte and of the bits above it
+    half, cut = n // 2, (1 << n // 2) - 1
+    tables = []  # per generator: images of the low half (the bits below ``half``) and the high half
     for p in gens:
-        low, high = [0] * (1 << min(n, 8)), [0] * (1 << max(n - 8, 0))
-        for table, base in ((low, 0), (high, 8)):
+        low, high = [0] * (1 << half), [0] * (1 << n - half)
+        for table, base in ((low, 0), (high, half)):
             for b in range(1, len(table)):
                 top = b.bit_length() - 1
                 table[b] = table[b ^ 1 << top] | 1 << p[base + top]
         tables.append((low, high))
     seen = bytearray(1 << n)
-    for rep in range(1 << n):
-        if seen[rep] or rep.bit_count() < floor:
+    for rep in _masks_from(n, floor):
+        if seen[rep]:
             continue
         yield rep
         seen[rep] = 1
@@ -120,7 +128,7 @@ def _orbit_reps(n: int, gens: Sequence[list[int]], floor: int = 0) -> Iterator[i
         while stack:
             mask = stack.pop()
             for low, high in tables:
-                image = low[mask & 255] | high[mask >> 8]
+                image = low[mask & cut] | high[mask >> half]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
@@ -322,7 +330,10 @@ def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
     n, rows = parent.n, parent.rows
     full = (1 << n) - 1
     short = _must_see(parent, k - 1)
-    components = {_component(parent, v) for v in range(n)}  # nb must meet each
+    components, rest = [], full  # nb must meet each, found from its least vertex
+    while rest:
+        components.append(_component(parent, (rest & -rest).bit_length() - 1))
+        rest &= ~components[-1]
     # nested parent pairs stay nested unless the new vertex sees u and not w
     nested = [(1 << u, 1 << w) for u in range(n) for w in range(n)
               if u != w and not rows[u] >> w & 1 and not rows[u] & ~rows[w]]

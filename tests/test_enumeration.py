@@ -450,8 +450,52 @@ def test_orbit_reps_above_a_floor_are_the_large_reps(floor):
     assert list(_orbit_reps(5, [rotation, reflection], floor)) == [r for r in reps if r.bit_count() >= floor]
 
 
+def random_small_group(n: int, kind: str, seed: int) -> list[list[int]]:
+    # seeded generators of a group small enough to close: a cycle through
+    # every vertex in a random order ("cycle"), or a cycle and a swap of each
+    # block of a random partition into blocks of two or three vertices, and
+    # one left over when needed ("blocks", the product of their symmetric groups)
+    rng = random.Random(seed)
+    order, blocks = list(range(n)), []
+    rng.shuffle(order)
+    while order:
+        size = n if kind == "cycle" else rng.randint(2, 3)
+        blocks.append(order[:size])
+        order = order[size:]
+    gens = []
+    for block in blocks:
+        cycle, swap = list(range(n)), list(range(n))
+        for v, w in zip(block, block[1:] + block[:1]):
+            cycle[v] = w
+        swap[block[0]], swap[block[-1]] = block[-1], block[0]
+        gens += [cycle] if kind == "cycle" else [cycle, swap]
+    return gens
+
+
+@pytest.mark.parametrize("kind", ["cycle", "blocks"])
+@pytest.mark.parametrize("n", range(10))
+def test_each_orbit_rep_is_the_least_mask_of_its_orbit(n, kind):
+    # odd n splits the image tables unevenly; n = 9 is the largest parent
+    # a walk extends (MAX_ENUMERATION_N = 10)
+    gens = random_small_group(n, kind, seed=1000 * n + len(kind))
+    group = group_closure(n, gens)
+    least = {}  # mask -> the least mask of its orbit
+    for mask in range(1 << n):
+        if mask not in least:
+            for image in {apply_map(p, mask) for p in group}:
+                least[image] = mask
+    everything = list(_orbit_reps(n, gens))
+    for floor in range(n + 2):
+        reps = list(_orbit_reps(n, gens, floor))
+        assert all(least[rep] == rep for rep in reps)
+        assert reps == sorted(set(reps))
+        assert reps == [rep for rep in everything if rep.bit_count() >= floor]
+        assert set(reps) == {least[mask] for mask in range(1 << n) if mask.bit_count() >= floor}
+
+
 def test_orbit_reps_map_masks_past_the_low_byte():
-    # the dihedral group of an 11-cycle; Burnside: (2048 + 10*2 + 11*64) / 22
+    # the dihedral group of an 11-cycle, whose image tables split at bit 5;
+    # Burnside: (2048 + 10*2 + 11*64) / 22
     rotation = list(range(1, 11)) + [0]
     reflection = [(11 - v) % 11 for v in range(11)]
     assert len(assert_reps_partition(11, [rotation, reflection])) == 126
@@ -633,8 +677,11 @@ def test_extendable_classes_are_the_minimal_colour_classes(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_emission_screen_equals_the_screens_on_the_child(k):
     rng = random.Random(200 + k)
-    for _ in range(40):
-        parent = random_graph(rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]), rng.randrange(2**30))
+    parents = [random_graph(rng.randint(0, 7), rng.choice([0.3, 0.5, 0.7]), rng.randrange(2**30)) for _ in range(40)]
+    # 6K1, 3K2 and K1 + P3 + K2: the child is connected only when the new
+    # vertex meets each of their six, three or three components
+    parents += [empty_graph(6), from_edges(6, [(0, 1), (2, 3), (4, 5)]), from_edges(6, [(1, 2), (2, 3), (4, 5)])]
+    for parent in parents:
         screen = _emission_screen(parent, k)
         for nb in range(1 << parent.n):
             child = _attach(parent, nb)

@@ -237,20 +237,30 @@ def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, in
     colour class of the lowest vertex can be taken maximal (a vertex moved
     into it keeps the colouring proper), so the mask is c-colourable exactly
     when, for some maximal independent set I of it holding that vertex, the
-    rest is (c-1)-colourable.  One colour fits exactly an independent mask.
-    ``memo`` keeps answers for c >= 2 by (mask, c) for every call on the same
+    rest is (c-1)-colourable.  One colour fits exactly an independent mask,
+    and two exactly a mask whose breadth-first layers, grown from the lowest
+    vertex of each component, hold no edge inside a layer (a layer's edge
+    closes an odd cycle; otherwise the layers alternate colours).
+    ``memo`` keeps answers for c >= 3 by (mask, c) for every call on the same
     rows: the walk's sieve and the lemma search each keep one."""
     if mask.bit_count() <= c:
         return True
-    if c <= 1:
+    if c <= 2:
         if c < 1:
             return False
-        rest = mask
-        while rest:  # iter_bits inlined: the sieve and the lemma search end every descent here
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & mask:
-                return False
-            rest ^= low
+        layer = mask if c == 1 else mask & -mask  # one colour: the mask is one layer
+        rest = mask ^ layer  # the vertices no layer holds yet
+        while layer:
+            reach, bits = 0, layer
+            while bits:  # iter_bits inlined: the sieve and the lemma search end every descent here
+                low = bits & -bits
+                row = rows[low.bit_length() - 1]
+                if row & layer:
+                    return False
+                reach |= row
+                bits ^= low
+            layer = reach & rest or rest & -rest  # the next layer, or a new component's first vertex
+            rest ^= layer
         return True
     key = (mask, c)
     hit = memo.get(key)

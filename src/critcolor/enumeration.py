@@ -55,10 +55,11 @@ S, with N(v) & S equal to the image of p's neighbours (the trace).  At its
 first child that the classifier extends, a parent lists every induced copy
 of every F - p (one p per orbit of Aut(F)) and marks, in a table of one
 byte per neighbourhood mask, every nb with nb & S equal to the trace (every
-nb when F - p is empty).  Emitted children skip the table: after a level's
-duplicates meet, each emitted class is tested once with ``is_free``.  So a
-parent that extends no child, every parent at n_max - 1 of a critical walk
-among them, lists no copies.  Every test is isomorphism-invariant and they
+nb when F - p is empty).  Emitted children skip the table: each is tested
+with ``is_free`` and then by the caller's verdict (criticality, for critical
+enumeration), and only one that passes both is labelled.  So a parent
+that extends no child, every parent at n_max - 1 of a critical walk among
+them, lists no copies.  Every test is isomorphism-invariant and they
 commute: neither their order nor the orbit pruning changes an output.
 """
 
@@ -200,18 +201,20 @@ _ChildClassifier = Callable[[int], Optional[str]]
 
 
 def _walk(
-    n_max: int, family: Sequence[PatternSpec], classify: Callable[[Graph], _ChildClassifier]
+    n_max: int, family: Sequence[PatternSpec], classify: Callable[[Graph, list[int]], _ChildClassifier],
+    accept: Callable[[Graph], bool] = lambda child: True,
 ) -> Iterator[tuple[int, list[Graph], dict[str, Graph]]]:
     """The level walk.  Each parent gets its child classifier from
-    ``classify(parent)``; each child, given by the new vertex's
-    neighbourhood mask nb, is classified by ``classifier(nb)`` as _EXTEND,
-    _EMIT or None (dropped) before it is built.  An extended child is then
-    dropped if the parent's trace table (built at its first extended child)
-    marks nb.  A child is built only when its new vertex maximises the
-    canonical-deletion invariant.  Yields, per order n, one canonical
-    representative per class of extended children, which are also the next
-    level's parents, and one per family-free class of emitted children,
-    keyed by canonical form in sorted order."""
+    ``classify(parent, degrees)``, given its vertex degrees; each child, given
+    by the new vertex's neighbourhood mask nb, is classified by
+    ``classifier(nb)`` as _EXTEND, _EMIT or None (dropped) before it is
+    built.  An extended child is then dropped if the parent's trace table
+    (built at its first extended child) marks nb.  A child is built only when
+    its new vertex maximises the canonical-deletion invariant, and an emitted
+    one is labelled only when it is family-free and ``accept(child)`` holds.
+    Yields, per order n, one canonical representative per class of extended
+    children, which are also the next level's parents, and one per class of
+    accepted emitted children, keyed by canonical form in sorted order."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration limited to 1 <= n <= {MAX_ENUMERATION_N}, got {n_max}")
     trace_patterns = _trace_patterns(family, n_max)
@@ -223,10 +226,10 @@ def _walk(
         extended_gens: dict[int, list[list[int]]] = {}
         emitted: dict[int, tuple[int, ...]] = {}
         for parent, gens in zip(parents, parent_gens):
-            classify_child = classify(parent)
+            degrees = [row.bit_count() for row in parent.rows]
+            classify_child = classify(parent, degrees)
             by_degree: dict[int, int] = {}  # degree -> mask of the parent's vertices
-            for u, row in enumerate(parent.rows):
-                deg = row.bit_count()
+            for u, deg in enumerate(degrees):
                 by_degree[deg] = by_degree.get(deg, 0) | 1 << u
             top = max(by_degree, default=0)
             forbidden: Optional[bytearray] = None
@@ -248,6 +251,8 @@ def _walk(
                 child = _attach(parent, nb)
                 if ties and _outranked(child, ties):
                     continue
+                if kind == _EMIT and not (is_free(child, family)[0] and accept(child)):
+                    continue
                 bits, label, child_gens = _canonical_labeling(child)
                 classes = extended if kind == _EXTEND else emitted
                 if bits not in classes:
@@ -258,11 +263,10 @@ def _walk(
         order = sorted(extended)  # at one order the bit-strings sort as the graph6 texts
         parents = [Graph(n, extended[bits]) for bits in order]  # made one by one in the loop, they raised peak RSS
         parent_gens = [extended_gens.get(bits, ()) for bits in order]
-        candidates = ((bits, Graph(n, emitted[bits])) for bits in sorted(emitted))
-        yield n, parents, {_encode_graph6(n, bits): g for bits, g in candidates if is_free(g, family)[0]}
+        yield n, parents, {_encode_graph6(n, bits): Graph(n, emitted[bits]) for bits in sorted(emitted)}
 
 
-def _extend_all(parent: Graph) -> _ChildClassifier:
+def _extend_all(parent: Graph, degrees: list[int]) -> _ChildClassifier:
     return lambda nb: _EXTEND
 
 
@@ -314,22 +318,21 @@ def _extendable_classes(parent: Graph, k: int) -> list[int]:
     return classes
 
 
-def _must_see(parent: Graph, need: int) -> int:
+def _must_see(degrees: list[int], need: int) -> int:
     """The parent vertices a new vertex of ``need`` neighbours must see for
-    the child to have minimum degree at least ``need``: those of degree
-    need - 1, or -1, which no mask holds, when a vertex has even less."""
-    degrees = [row.bit_count() for row in parent.rows]
+    the child to have minimum degree at least ``need``, from their degrees:
+    those of degree need - 1, or -1, which no mask holds, when one has less."""
     short = mask_of(v for v, d in enumerate(degrees) if d < need)
     return -1 if any(d < need - 1 for d in degrees) else short
 
 
-def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
+def _emission_screen(parent: Graph, degrees: list[int], k: int) -> Callable[[int], bool]:
     """The cheap screens of criticality for the child with new neighbourhood
     nb, decided on nb: the child must be connected, have minimum degree at
     least k - 1 and have no nonadjacent pair u, w with N(u) ⊆ N(w)."""
     n, rows = parent.n, parent.rows
     full = (1 << n) - 1
-    short = _must_see(parent, k - 1)
+    short = _must_see(degrees, k - 1)
     components, rest = [], full  # nb must meet each, found from its least vertex
     while rest:
         components.append(_component(parent, (rest & -rest).bit_length() - 1))
@@ -349,7 +352,7 @@ def _emission_screen(parent: Graph, k: int) -> Callable[[int], bool]:
     return passes
 
 
-def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
+def _critical_classifier(parent: Graph, degrees: list[int], k: int, n_max: int) -> _ChildClassifier:
     """The child classifier of critical enumeration for one parent, on the
     new vertex's neighbourhood mask alone: drop a child on n vertices below
     minimum degree k - 1 - (n_max - n), extend the (k-1)-colourable ones
@@ -359,9 +362,9 @@ def _critical_classifier(parent: Graph, k: int, n_max: int) -> _ChildClassifier:
     Parents are (k-1)-colourable (nothing else is extended), so a child that
     is not has chromatic number exactly k."""
     need = k + parent.n - n_max  # for the child order n = parent.n + 1
-    short = _must_see(parent, need)
+    short = _must_see(degrees, need)
     classes = _extendable_classes(parent, k)
-    screen = _emission_screen(parent, k)
+    screen = _emission_screen(parent, degrees, k)
     extend = _EXTEND if parent.n + 1 < n_max else None
 
     def classify_child(nb: int) -> Optional[str]:
@@ -385,18 +388,21 @@ def enumerate_critical(
     at most n_max - n vertex deletions below a k-critical one.  A child that
     needs k colours is screened by the cheap necessary conditions
     (connected, minimum degree k - 1, no nonadjacent pair with nested
-    neighbourhoods).  Each isomorphism class of the children that pass is
-    tested once against the family, and then checked for criticality:
-    chi = k, and vertex deletions in order until one keeps chi = k.
+    neighbourhoods).  Each child that passes is tested against the family
+    and then checked for criticality (chi = k, and vertex deletions in order
+    until one keeps chi = k) before it is labelled, so only members are.
+    Each member class is decided once more on its canonical graph, which
+    keeps the refutation of k - 1 colours that certifying reuses.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     family = tuple(family)
     members: dict[str, Graph] = {}
-    for _, _, emitted in _walk(n_max, family, lambda parent: _critical_classifier(parent, k, n_max)):
-        for canon, g in emitted.items():
-            if _is_critical(g, k):
-                members[canon] = g
+    classify = lambda parent, degrees: _critical_classifier(parent, degrees, k, n_max)  # noqa: E731
+    for _, _, emitted in _walk(n_max, family, classify, lambda child: _is_critical(child, k)):
+        for g in emitted.values():
+            _is_critical(g, k)  # true again, run for the refutation it keeps on g
+        members.update(emitted)
     return CriticalDb(k, family, tuple(members), tuple(members.values()))
 
 

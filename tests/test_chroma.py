@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from typing import Optional
 
@@ -9,6 +10,7 @@ from critcolor.chroma import (
     BudgetExhausted,
     Coloring,
     _Budget,
+    _colourable,
     _counter,
     _max_clique_in,
     chromatic_number,
@@ -25,6 +27,7 @@ from critcolor.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     iter_bits,
     parse_graph6,
     with_vertex,
@@ -422,3 +425,46 @@ def test_a_kept_floor_answers_as_a_fresh_search(g, data):
         assert answer == is_k_colorable(Graph(g.n, g.rows), k)
         assert (answer is not None) == naive_is_k_colorable(g, k)
     assert chromatic_number(kept) == chromatic_number(Graph(g.n, g.rows))
+
+
+def test_colourable_is_the_naive_decision_on_every_mask():
+    # every vertex mask of every graph with n <= 6 and the full mask of each
+    # 7-vertex graph, c = 0..4, with one memo per graph as the callers keep
+    masks = 0
+    for g in enumerate_up_to(7):
+        memo: dict[tuple[int, int], bool] = {}
+        for mask in range(1 << g.n) if g.n <= 6 else [(1 << g.n) - 1]:
+            sub = induced_subgraph(g, iter_bits(mask))
+            for c in range(5):
+                assert _colourable(g.rows, mask, c, memo) == naive_is_k_colorable(sub, c), (g.rows, mask, c)
+            masks += 1
+    assert masks == 11290 + 1044  # sum of 2^n over the 208 graphs with n <= 6, then the 7-vertex graphs
+
+
+def cycle(n: int) -> Graph:
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("length", range(3, 16))
+def test_two_colours_fit_exactly_the_even_cycles(length):
+    memo: dict[tuple[int, int], bool] = {}
+    g = cycle(length)
+    assert _colourable(g.rows, (1 << length) - 1, 2, memo) == (length % 2 == 0)
+    # and the cycle among even cycles, an isolated vertex and an edge, with
+    # the vertices shuffled: the layers must reach it from any first component
+    for before, after in ((cycle(4), cycle(6)), (empty_graph(1), cycle(8)), (cycle(6), from_edges(2, [(0, 1)]))):
+        u = disjoint_union(disjoint_union(before, g), after)
+        order = list(range(u.n))
+        random.Random(length).shuffle(order)
+        u = from_edges(u.n, [(order[a], order[b]) for a in range(u.n) for b in iter_bits(u.rows[a]) if a < b])
+        assert _colourable(u.rows, (1 << u.n) - 1, 2, memo) == (length % 2 == 0) == naive_is_k_colorable(u, 2)
+    assert memo == {}  # two colours keep no answer
+
+
+def test_three_colours_keep_only_their_own_answers():
+    # the c = 3 recursion ends in the two-colour layers, which keep nothing
+    memo: dict[tuple[int, int], bool] = {}
+    for g in (GROTZSCH, C5, cycle(7), complete_graph(4)):
+        assert _colourable(g.rows, (1 << g.n) - 1, 3, memo) == naive_is_k_colorable(g, 3)
+        assert memo and {c for _, c in memo} == {3}
+        memo.clear()

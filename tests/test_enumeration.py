@@ -627,6 +627,10 @@ def test_critical_enumeration_equals_post_filtering_at_order_8(spec_text, four_c
     assert list(enumerate_critical(4, 8, [spec]).members) == want
 
 
+def degrees(g: Graph) -> list[int]:
+    return [row.bit_count() for row in g.rows]
+
+
 def colourable_parents(k: int, count: int, seed: int):
     """Seeded random (k-1)-colourable graphs on 0..8 vertices, dense enough
     that some of their children need all k colours."""
@@ -647,7 +651,7 @@ def test_extendable_classes_decide_child_colourability(k):
     for parent in colourable_parents(k, 60, seed=k):
         classes = _extendable_classes(parent, k)
         # with n_max this far above the child, the minimum-degree rule asks for nothing
-        classify_child = _critical_classifier(parent, k, parent.n + k + 1)
+        classify_child = _critical_classifier(parent, degrees(parent), k, parent.n + k + 1)
         for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
             colourable = chroma.is_k_colorable(_attach(parent, nb), k - 1) is not None
             assert any(not nb & s for s in classes) == colourable, (to_graph6(parent), nb, k)
@@ -682,7 +686,7 @@ def test_emission_screen_equals_the_screens_on_the_child(k):
     # vertex meets each of their six, three or three components
     parents += [empty_graph(6), from_edges(6, [(0, 1), (2, 3), (4, 5)]), from_edges(6, [(1, 2), (2, 3), (4, 5)])]
     for parent in parents:
-        screen = _emission_screen(parent, k)
+        screen = _emission_screen(parent, degrees(parent), k)
         for nb in range(1 << parent.n):
             child = _attach(parent, nb)
             want = (
@@ -694,9 +698,9 @@ def test_emission_screen_equals_the_screens_on_the_child(k):
 
 
 def test_a_colourable_child_is_dropped_at_the_last_order():
-    classify_last = _critical_classifier(complete_graph(3), 4, 4)
+    classify_last = _critical_classifier(complete_graph(3), [2, 2, 2], 4, 4)
     assert classify_last(3) is None
-    assert _critical_classifier(complete_graph(3), 4, 5)(3) == _EXTEND
+    assert _critical_classifier(complete_graph(3), [2, 2, 2], 4, 5)(3) == _EXTEND
     assert classify_last(7) == _EMIT  # K4
 
 
@@ -707,11 +711,11 @@ def test_the_degree_rule_on_the_mask_is_the_childs_minimum_degree(k):
     outcomes = set()
     for parent in colourable_parents(k, 40, seed=300 + k):
         n = parent.n + 1
-        unruled = _critical_classifier(parent, k, n + k)  # need -1
+        unruled = _critical_classifier(parent, degrees(parent), k, n + k)  # need -1
         for n_max in range(n, n + k):
             need = k - 1 - (n_max - n)
-            short = _must_see(parent, need)
-            classify_child = _critical_classifier(parent, k, n_max)
+            short = _must_see(degrees(parent), need)
+            classify_child = _critical_classifier(parent, degrees(parent), k, n_max)
             for nb in rng.sample(range(1 << parent.n), min(1 << parent.n, 24)):
                 child = _attach(parent, nb)
                 enough = min(row.bit_count() for row in child.rows) >= need
@@ -734,7 +738,7 @@ def classifier_without_degree_rule(parent, k, n_max):
         if any(not nb & s for s in classes):
             return _EXTEND if parent.n + 1 < n_max else None
         if screen is None:
-            screen = _emission_screen(parent, k)
+            screen = _emission_screen(parent, degrees(parent), k)
         return _EMIT if screen(nb) else None
 
     return classify_child
@@ -752,18 +756,26 @@ DEGREE_RULE_CASES = [(k, 7, family) for family in FAMILIES for k in (3, 4, 5)] +
 def test_the_degree_rule_keeps_every_member(k, n_max, family):
     specs = tuple(parse_pattern(t) for t in family)
     want = {}
-    for _, _, emitted in _walk(n_max, specs, lambda parent: classifier_without_degree_rule(parent, k, n_max)):
+    for _, _, emitted in _walk(n_max, specs, lambda parent, _: classifier_without_degree_rule(parent, k, n_max)):
         want.update((canon, g) for canon, g in emitted.items() if criticality_report(g, k).verdict)
     assert list(enumerate_critical(k, n_max, specs).members) == list(want)
 
 
-def test_the_four_critical_p4_plus_2p1_free_graphs_up_to_9_are_pinned():
+def test_the_four_critical_p4_plus_2p1_free_graphs_up_to_9_are_pinned(monkeypatch):
+    import critcolor.enumeration as enumeration
+
     # the paper's family at l = 2: the 141 members, pinned by the sha256 of
     # their canonical graph6 lines
+    calls = []
+    real = enumeration._canonical_labeling
+    monkeypatch.setattr(enumeration, "_canonical_labeling", lambda g: calls.append(g) or real(g))
     members = enumerate_critical(4, 9, [parse_pattern("P4+2P1")]).members
     assert len(members) == 141
     digest = hashlib.sha256("\n".join(members).encode()).hexdigest()
     assert digest == "31d16872a4424685489d282f1ffc1674f6c4dfef699721166f24f2479b751f06"
+    # the extended children, the family-free critical emitted ones and the
+    # family graph: an emitted child that is not a member is never labelled
+    assert len(calls) == 4104
 
 
 def test_trace_tables_are_built_only_for_parents_that_extend_a_child(monkeypatch):
@@ -798,7 +810,7 @@ def reference_walk(n_max, family, classify):
         extended, emitted = {}, set()
         for parent in parents:
             forbidden = _forbidden_traces(parent, trace_patterns)
-            classify_child = classify(parent)
+            classify_child = classify(parent, degrees(parent))
             for nb in _orbit_reps(parent.n, _canonical_labeling(parent)[2]):
                 if forbidden[nb]:
                     continue
@@ -824,7 +836,7 @@ def test_the_rule_keeps_every_level_of_plain_enumeration():
 @pytest.mark.parametrize("family", FAMILIES, ids=",".join)
 def test_the_rule_keeps_every_critical_member(family, k):
     specs = tuple(parse_pattern(t) for t in family)
-    classify = lambda parent: _critical_classifier(parent, k, 7)  # noqa: E731
+    classify = lambda parent, degrees: _critical_classifier(parent, degrees, k, 7)  # noqa: E731
     got = list(_walk(7, specs, classify))
     want = list(reference_walk(7, specs, classify))
     assert len(got) == len(want) == 7
@@ -850,9 +862,11 @@ def test_the_rule_canonicalises_few_duplicates(monkeypatch):
     calls.clear()
     db = enumerate_critical(4, 8, [parse_pattern("P4+P1")])
     assert len(db.members) == 9
-    # 526 classified children and the family graph P4+P1; one emitted child
-    # at n = 8 contains P4+P1 and is labelled before its class is dropped
-    assert len(calls) == 527
+    # 369 children and the family graph P4+P1: an emitted child is labelled
+    # only once it is family-free and critical, and 157 of the 168 emitted
+    # children the rule builds are not (one contains P4+P1, 156 are not
+    # critical), so 526 classified children leave 369
+    assert len(calls) == 370
 
 
 def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
@@ -872,7 +886,7 @@ def test_critical_enumeration_parses_none_of_its_graphs(monkeypatch):
 
 @pytest.mark.parametrize("n_max, family, classify", [
     (7, (), _extend_all),
-    (8, (parse_pattern("P4+P1"),), lambda parent: _critical_classifier(parent, 4, 8)),
+    (8, (parse_pattern("P4+P1"),), lambda parent, degrees: _critical_classifier(parent, degrees, 4, 8)),
 ], ids=["plain", "critical"])
 def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch, n_max, family, classify):
     import critcolor.enumeration as enumeration
@@ -881,9 +895,9 @@ def test_parent_generators_are_automorphisms_of_the_canonical_parent(monkeypatch
     parent_of = []
     real_reps = enumeration._orbit_reps
 
-    def recording_classify(parent):
+    def recording_classify(parent, degrees):
         parent_of.append(parent)
-        return classify(parent)
+        return classify(parent, degrees)
 
     checked = []
 

@@ -232,17 +232,15 @@ def _chromatic(
     return greedy.palette_size, greedy, clique
 
 
-def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool]) -> bool:
+def _colourable(rows: Sequence[int], mask: int, c: int) -> bool:
     """Whether the vertices of ``mask`` induce a c-colourable graph.  The
-    colour class of the lowest vertex can be taken maximal (a vertex moved
-    into it keeps the colouring proper), so the mask is c-colourable exactly
-    when, for some maximal independent set I of it holding that vertex, the
-    rest is (c-1)-colourable.  One colour fits exactly an independent mask,
-    and two exactly a mask whose breadth-first layers, grown from the lowest
-    vertex of each component, hold no edge inside a layer (a layer's edge
-    closes an odd cycle; otherwise the layers alternate colours).
-    ``memo`` keeps answers for c >= 3 by (mask, c) for every call on the same
-    rows: the walk's sieve and the lemma search each keep one."""
+    mask is c-colourable exactly when some independent set I of it holding
+    its lowest vertex leaves a (c-1)-colourable rest: the colour class of
+    that vertex is one, and any such I takes one colour.  One colour fits
+    exactly an independent mask, and two exactly a mask whose breadth-first
+    layers, grown from the lowest vertex of each component, hold no edge
+    inside a layer (a layer's edge closes an odd cycle; otherwise the layers
+    alternate colours)."""
     if mask.bit_count() <= c:
         return True
     if c <= 2:
@@ -262,28 +260,18 @@ def _colourable(rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, in
             layer = reach & rest or rest & -rest  # the next layer, or a new component's first vertex
             rest ^= layer
         return True
-    key = (mask, c)
-    hit = memo.get(key)
-    if hit is None:
-        low = mask & -mask
-        hit = memo[key] = _class_completes(rows, mask, c, memo, low, mask & ~rows[low.bit_length() - 1] ^ low, 0)
-    return hit
+    low = mask & -mask
+    return _class_completes(rows, mask, c, low, mask & ~rows[low.bit_length() - 1] ^ low)
 
 
-def _class_completes(
-    rows: Sequence[int], mask: int, c: int, memo: dict[tuple[int, int], bool], s: int, cand: int, passed: int
-) -> bool:
+def _class_completes(rows: Sequence[int], mask: int, c: int, s: int, cand: int) -> bool:
     """Whether the independent set s grows, by vertices of ``cand`` (those of
-    the mask that no vertex of s sees), into a maximal independent set of the
-    mask whose rest is (c-1)-colourable.  ``passed`` holds the vertices left
-    out of s that no vertex of s sees yet: a later vertex must block each."""
-    if not _colourable(rows, mask & ~s & ~cand, c - 1, memo):
+    the mask that no vertex of s sees), into an independent set of the mask
+    whose rest is (c-1)-colourable."""
+    if not _colourable(rows, mask & ~s & ~cand, c - 1):
         return False  # the rest only grows from here
     if not cand:
-        return not passed
+        return True
     bit = cand & -cand
     row = rows[bit.bit_length() - 1]
-    if _class_completes(rows, mask, c, memo, s | bit, cand & ~row ^ bit, passed & ~row):
-        return True
-    # leave the vertex out only when a candidate can still block it
-    return bool(row & cand) and _class_completes(rows, mask, c, memo, s, cand ^ bit, passed | bit)
+    return _class_completes(rows, mask, c, s | bit, cand & ~row ^ bit) or _class_completes(rows, mask, c, s, cand ^ bit)

@@ -226,13 +226,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "certify":
             args.db = critical.load_critdb(args.db)  # once, before any graph is read
         batch = getattr(args, "graph", None) == "-"
+        graphs = None  # a command that reads no graph
         if hasattr(args, "graph"):
             graphs = list(ingest_graph6_stream(sys.stdin.read().splitlines())) if batch \
                 else [parse_graph6(args.graph)]
-            results, given = [args.run(args, g) for g in graphs], [to_graph6(g) for g in graphs]
-        else:
-            results, given = [args.run(args)], None
+        results = [args.run(args)] if graphs is None else [args.run(args, g) for g in graphs]
         if args.json:
+            given = None if graphs is None else [to_graph6(g) for g in graphs]  # only "input" reads them
             payloads = [payload for _, payload, _ in results]
             print(json.dumps({
                 "command": argv,

@@ -181,13 +181,12 @@ def find_lemma_xy_violation(
     (|X|+|Y|, X, Y), so the first hit is deterministic.  Returns None when
     no such pair exists (as must happen on every vertex-critical graph).
     Y runs over the combinations of the vertices outside N[X] that see all
-    of N(X); ``chroma._colourable``, with one memo, decides both chi sides."""
+    of N(X); ``chroma._colourable`` decides both chi sides."""
     if size_cap < 1:
         raise ValueError("size_cap must be at least 1")
     size_cap = min(size_cap, g.n)  # no side is larger; a larger cap costs time
     rows = g.rows
     full = (1 << g.n) - 1
-    memo: dict[tuple[int, int], bool] = {}
     by_size: list[list[tuple]] = [[]]  # per |X|: (X, its mask, its Y candidates) for X with any
     for total in range(2, 2 * size_cap + 1):
         if total <= size_cap + 1:  # the first total that admits |X| = total - 1
@@ -203,8 +202,8 @@ def find_lemma_xy_violation(
             sy = total - len(xs)
             for ys in combinations(ys_from, sy):
                 ymask = mask_of(ys)
-                chi_y = next(c for c in range(1, sy + 1) if chroma._colourable(rows, ymask, c, memo))
-                if chroma._colourable(rows, xmask, chi_y, memo):
+                chi_y = next(c for c in range(1, sy + 1) if chroma._colourable(rows, ymask, c))
+                if chroma._colourable(rows, xmask, chi_y):
                     return (frozenset(xs), frozenset(ys))
     return None
 

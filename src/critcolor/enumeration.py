@@ -68,7 +68,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .chroma import _colourable
+from .chroma import _chromatic, _colourable
 from .critical import CriticalDb, _is_critical
 from .graphs import (
     Graph,
@@ -299,7 +299,6 @@ def _extendable_classes(parent: Graph, k: int) -> list[int]:
     conversely the new vertex takes S's colour.  With k - 1 < 1 colours the
     new vertex has none: no S qualifies, as no chromatic number is below 0."""
     rows, full = parent.rows, (1 << parent.n) - 1
-    memo: dict[tuple[int, int], bool] = {}
     classes: list[int] = []
     # independent sets by size, each with the vertices above its top that can
     # join it; a set holding a class is not minimal, and neither are its supersets
@@ -309,7 +308,7 @@ def _extendable_classes(parent: Graph, k: int) -> list[int]:
         for s, joinable in level:
             if any(not c & ~s for c in classes):
                 continue
-            if _colourable(rows, full & ~s, k - 2, memo):
+            if _colourable(rows, full & ~s, k - 2):
                 classes.append(s)
                 continue
             for v in iter_bits(joinable):
@@ -391,7 +390,7 @@ def enumerate_critical(
     neighbourhoods).  Each child that passes is tested against the family
     and then checked for criticality (chi = k, and vertex deletions in order
     until one keeps chi = k) before it is labelled, so only members are.
-    Each member class is decided once more on its canonical graph, which
+    Each member's canonical graph gets one chromatic-number search, which
     keeps the refutation of k - 1 colours that certifying reuses.
     """
     if k < 1:
@@ -401,7 +400,7 @@ def enumerate_critical(
     classify = lambda parent, degrees: _critical_classifier(parent, degrees, k, n_max)  # noqa: E731
     for _, _, emitted in _walk(n_max, family, classify, lambda child: _is_critical(child, k)):
         for g in emitted.values():
-            _is_critical(g, k)  # true again, run for the refutation it keeps on g
+            _chromatic(g)  # kept on g: the clique, the greedy and the refutation of k - 1 colours
         members.update(emitted)
     return CriticalDb(k, family, tuple(members), tuple(members.values()))
 

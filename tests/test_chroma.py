@@ -18,7 +18,7 @@ from critcolor.chroma import (
     is_k_colorable,
     is_proper_coloring,
 )
-from critcolor.enumeration import enumerate_up_to
+from critcolor.enumeration import enumerate_graphs, enumerate_up_to
 from critcolor.graphs import (
     Graph,
     complement,
@@ -429,16 +429,26 @@ def test_a_kept_floor_answers_as_a_fresh_search(g, data):
 
 def test_colourable_is_the_naive_decision_on_every_mask():
     # every vertex mask of every graph with n <= 6 and the full mask of each
-    # 7-vertex graph, c = 0..4, with one memo per graph as the callers keep
+    # 7-vertex graph, c = 0..4
     masks = 0
     for g in enumerate_up_to(7):
-        memo: dict[tuple[int, int], bool] = {}
         for mask in range(1 << g.n) if g.n <= 6 else [(1 << g.n) - 1]:
             sub = induced_subgraph(g, iter_bits(mask))
             for c in range(5):
-                assert _colourable(g.rows, mask, c, memo) == naive_is_k_colorable(sub, c), (g.rows, mask, c)
+                assert _colourable(g.rows, mask, c) == naive_is_k_colorable(sub, c), (g.rows, mask, c)
             masks += 1
     assert masks == 11290 + 1044  # sum of 2^n over the 208 graphs with n <= 6, then the 7-vertex graphs
+
+
+def test_colourable_is_the_colouring_search_on_every_8_vertex_graph():
+    # the full mask of each 8-vertex graph at c = 3 and 4, against the DSATUR
+    # search, which shares no code with the independent-set recursion
+    cases = 0
+    for g in enumerate_graphs(8):
+        for c in (3, 4):
+            assert _colourable(g.rows, (1 << g.n) - 1, c) == (is_k_colorable(g, c) is not None), (g.rows, c)
+            cases += 1
+    assert cases == 2 * 12346
 
 
 def cycle(n: int) -> Graph:
@@ -447,9 +457,8 @@ def cycle(n: int) -> Graph:
 
 @pytest.mark.parametrize("length", range(3, 16))
 def test_two_colours_fit_exactly_the_even_cycles(length):
-    memo: dict[tuple[int, int], bool] = {}
     g = cycle(length)
-    assert _colourable(g.rows, (1 << length) - 1, 2, memo) == (length % 2 == 0)
+    assert _colourable(g.rows, (1 << length) - 1, 2) == (length % 2 == 0)
     # and the cycle among even cycles, an isolated vertex and an edge, with
     # the vertices shuffled: the layers must reach it from any first component
     for before, after in ((cycle(4), cycle(6)), (empty_graph(1), cycle(8)), (cycle(6), from_edges(2, [(0, 1)]))):
@@ -457,14 +466,9 @@ def test_two_colours_fit_exactly_the_even_cycles(length):
         order = list(range(u.n))
         random.Random(length).shuffle(order)
         u = from_edges(u.n, [(order[a], order[b]) for a in range(u.n) for b in iter_bits(u.rows[a]) if a < b])
-        assert _colourable(u.rows, (1 << u.n) - 1, 2, memo) == (length % 2 == 0) == naive_is_k_colorable(u, 2)
-    assert memo == {}  # two colours keep no answer
+        assert _colourable(u.rows, (1 << u.n) - 1, 2) == (length % 2 == 0) == naive_is_k_colorable(u, 2)
 
 
-def test_three_colours_keep_only_their_own_answers():
-    # the c = 3 recursion ends in the two-colour layers, which keep nothing
-    memo: dict[tuple[int, int], bool] = {}
+def test_three_colours_decide_the_named_graphs():
     for g in (GROTZSCH, C5, cycle(7), complete_graph(4)):
-        assert _colourable(g.rows, (1 << g.n) - 1, 3, memo) == naive_is_k_colorable(g, 3)
-        assert memo and {c for _, c in memo} == {3}
-        memo.clear()
+        assert _colourable(g.rows, (1 << g.n) - 1, 3) == naive_is_k_colorable(g, 3)

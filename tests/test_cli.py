@@ -35,6 +35,17 @@ def test_chi_and_decision(capsys):
     assert run(["chi", "--k", "3", C5]) == 0
 
 
+def test_only_json_output_reencodes_the_input(capsys, monkeypatch):
+    import critcolor.cli
+
+    encoded = []
+    monkeypatch.setattr(critcolor.cli, "to_graph6", lambda g: encoded.append(g) or to_graph6(g))
+    assert run(["chi", C5]) == 0
+    assert capsys.readouterr().out.startswith("chi=3") and encoded == []
+    assert run(["chi", "--json", C5]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == C5 and len(encoded) == 1
+
+
 def test_critical_verdict(capsys):
     assert run(["critical", "--k", "3", C5]) == 0
     assert "critical" in capsys.readouterr().out
